@@ -332,11 +332,12 @@ bool InvariantChecker::check_metrics(const RunSummary& summary,
   }
 
   // ---- grid-map cache reconciliation (DESIGN.md §10) ----
-  // The AutoGrid stage counts each FINISHED activation as exactly one of
-  // hit / miss / inflight-wait (counters land only after every output is
-  // emitted, so faulted attempts never count). Guarded on the sum: runs
-  // whose pipeline has no instrumented AutoGrid stage (toy obs pipelines,
-  // sim executor) register none of these series and skip the check.
+  // Map sets are built on first use by AutoDock 4: its stage counts each
+  // FINISHED activation as exactly one of hit / miss / inflight-wait
+  // (counters land only after every output is emitted, so faulted
+  // attempts never count). Guarded on the sum: runs whose pipeline has no
+  // instrumented AD4 stage (toy obs pipelines, Vina-only screens, sim
+  // executor) register none of these series and skip the check.
   const long long cache_hits = metrics.counter_value(obs::kCacheGridmapsHits);
   const long long cache_misses =
       metrics.counter_value(obs::kCacheGridmapsMisses);
@@ -344,20 +345,20 @@ bool InvariantChecker::check_metrics(const RunSummary& summary,
       metrics.counter_value(obs::kCacheGridmapsInflightWaits);
   const long long cache_sum = cache_hits + cache_misses + cache_waits;
   if (cache_sum > 0) {
-    const long long sql_autogrid_finished =
-        store.query(prov::finished_activation_count_sql(wkfid, "autogrid"))
+    const long long sql_ad4_finished =
+        store.query(prov::finished_activation_count_sql(wkfid, "autodock4"))
             .rows.front()
             .front()
             .as_int();
-    if (cache_sum != sql_autogrid_finished) {
+    if (cache_sum != sql_ad4_finished) {
       ok = fail(strformat(
           "%s metrics: grid-map cache hits %lld + misses %lld + waits %lld "
-          "= %lld but SQL counts %lld FINISHED autogrid activations",
+          "= %lld but SQL counts %lld FINISHED autodock4 activations",
           who.c_str(), cache_hits, cache_misses, cache_waits, cache_sum,
-          sql_autogrid_finished));
+          sql_ad4_finished));
     }
-    // Map-set computations are counted when they happen, so activations
-    // that computed and then failed keep mapsets above misses.
+    // Map-set sweeps are counted when they happen, so activations that
+    // built channels and then failed keep mapsets above misses.
     const long long mapsets =
         metrics.counter_value(obs::kKernelAutogridMapsets);
     if (mapsets < cache_misses) {

@@ -1,13 +1,13 @@
 #include "dock/autogrid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 
-#include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -39,52 +39,88 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
 GridMapSet GridMapCalculator::calculate(
     const GridBox& box, const std::vector<mol::AdType>& ligand_types,
     ThreadPool* pool) const {
-  GridMapSet set;
-  set.box = box;
-  set.electrostatic = GridMap(box, "e");
-  set.desolvation = GridMap(box, "d");
-  for (mol::AdType t : ligand_types) {
-    set.affinity.emplace_back(t, GridMap(box, std::string(mol::ad_type_name(t))));
-  }
+  GridMapSet set = GridMapSet::shaped(box, ligand_types);
+  std::vector<std::size_t> slots(ligand_types.size());
+  for (std::size_t t = 0; t < slots.size(); ++t) slots[t] = t;
+  calculate_into(set, /*electrostatic_and_desolvation=*/true, slots, pool);
+  return set;
+}
 
-  // Hoist every per-(receptor atom) LUT channel to a flat pointer array,
-  // SoA by atom: slot 0 is the Coulomb channel (factor = atom charge),
-  // slot 1 the desolvation Gaussian (factor = atom volume), slots 2.. the
-  // per-ligand-type vdW rows (factor = 1), padded to a lane multiple with
-  // an all-zero channel. Every table shares the LUT resolution, so the
-  // inner loop computes one LaneBins per (point, atom) squared distance
-  // and sweeps all channels with lane-parallel interpolations — where the
-  // scalar loop paid one bin computation per channel per contribution.
-  constexpr int W = simd::f64x::kWidth;
+void GridMapCalculator::calculate_into(GridMapSet& set,
+                                       bool electrostatic_and_desolvation,
+                                       const std::vector<std::size_t>& slots,
+                                       ThreadPool* pool) const {
+  const GridBox& box = set.box;
+  // The channels of this sweep and the map each one fills, allocated
+  // here so unbuilt channels of a lazily built set cost no memory.
+  std::vector<GridMap*> out;
+  if (electrostatic_and_desolvation) {
+    set.electrostatic = GridMap(box, "e");
+    set.desolvation = GridMap(box, "d");
+    out.push_back(&set.electrostatic);
+    out.push_back(&set.desolvation);
+  }
+  std::vector<mol::AdType> types;
+  for (std::size_t slot : slots) {
+    auto& [type, map] = set.affinity.at(slot);
+    map = GridMap(box, std::string(mol::ad_type_name(type)));
+    out.push_back(&map);
+    types.push_back(type);
+  }
+  if (out.empty()) return;
+
+  // The sweep's LUT channels, interleaved by bin in one table per
+  // receptor atom type present: with e/d requested, channel 0 is the
+  // Coulomb channel (factor = atom charge) and channel 1 the desolvation
+  // Gaussian (factor = atom volume); then the per-ligand-type vdW rows
+  // (factor = 1). Every table shares the LUT resolution, so a hit computes
+  // one bin from its squared distance and reads two adjacent bin rows (a
+  // cache line or two) for all of its channels. Each channel accumulates
+  // on its own, so any subset of channels is bit-equal to the same
+  // channels of a full sweep.
   const std::size_t natoms = type_.size();
-  const std::size_t ntypes = ligand_types.size();
-  const std::size_t nchan = ntypes + 2;
-  const std::size_t nchan_padded = (nchan + W - 1) / W * W;
-  const std::vector<double> zero_channel(lut::kEntries + 1, 0.0);
-  std::vector<const double*> rows(natoms * nchan_padded, zero_channel.data());
-  util::aligned_vector<double> factors(natoms * nchan_padded, 0.0);
+  const std::size_t ned = electrostatic_and_desolvation ? 2 : 0;
+  const std::size_t nchan = out.size();
+  const std::size_t stride = static_cast<std::size_t>(lut::kEntries + 1) * nchan;
+  std::array<std::size_t, mol::kAdTypeCount> table_of{};
+  std::array<bool, mol::kAdTypeCount> present{};
+  std::vector<double> table;
+  for (mol::AdType rt : type_) {
+    const auto r = static_cast<std::size_t>(rt);
+    if (present[r]) continue;
+    present[r] = true;
+    table_of[r] = table.size();
+    table.resize(table.size() + stride);
+    double* dst = table.data() + table_of[r];
+    for (std::size_t c = 0; c < nchan; ++c) {
+      const double* src = c < ned ? (c == 0 ? tables_->coulomb_channel()
+                                            : tables_->desolv_channel())
+                                  : tables_->vdw_row(types[c - ned], rt);
+      for (int bin = 0; bin <= lut::kEntries; ++bin) {
+        dst[static_cast<std::size_t>(bin) * nchan + c] = src[bin];
+      }
+    }
+  }
+  std::vector<const double*> atom_table(natoms);
+  std::vector<double> factors(natoms * nchan, 1.0);
   for (std::size_t a = 0; a < natoms; ++a) {
-    const std::size_t base = a * nchan_padded;
-    rows[base + 0] = tables_->coulomb_channel();
-    factors[base + 0] = charge_[a];
-    // Receptor-side volume term only; the ligand atom's solvation
-    // parameter (solpar_i + qasp*|q_i|) multiplies in at sample time
-    // (AD4 map semantics; the product is O(0.01) per contact).
-    rows[base + 1] = tables_->desolv_channel();
-    factors[base + 1] = volume_[a];
-    for (std::size_t t = 0; t < ntypes; ++t) {
-      rows[base + 2 + t] = tables_->vdw_row(ligand_types[t], type_[a]);
-      factors[base + 2 + t] = 1.0;
+    atom_table[a] = table.data() + table_of[static_cast<std::size_t>(type_[a])];
+    if (electrostatic_and_desolvation) {
+      factors[a * nchan + 0] = charge_[a];
+      // Receptor-side volume term only; the ligand atom's solvation
+      // parameter (solpar_i + qasp*|q_i|) multiplies in at sample time
+      // (AD4 map semantics; the product is O(0.01) per contact).
+      factors[a * nchan + 1] = volume_[a];
     }
   }
 
   const mol::Vec3 origin = box.origin();
 
-  // Racer (RC004) reduction identity for this map set: deterministic
-  // across runs (never an address) and distinct across the receptors and
-  // boxes of one campaign, so per-slab digests from different calculate()
-  // calls never collide on a key.
-  std::uint64_t racer_set_key = 0;
+  // Racer (RC004) reduction identity: one key per (map set, channel,
+  // slab), deterministic across runs (never an address) and independent
+  // of which sweep built the channel, so lazily built sets key the same
+  // slots whatever the schedule split their channels into.
+  std::vector<std::uint64_t> racer_keys;
   if (racer::enabled()) {
     std::uint64_t h = 1469598103934665603ULL;
     const auto fold = [&h](std::uint64_t v) {
@@ -98,11 +134,15 @@ GridMapSet GridMapCalculator::calculate(
     fold(static_cast<std::uint64_t>(box.npts[1]));
     fold(static_cast<std::uint64_t>(box.npts[2]));
     fold(natoms);
-    fold(ntypes);
     for (std::size_t a = 0; a < natoms; ++a) {
       fold(std::bit_cast<std::uint64_t>(charge_[a]));
     }
-    racer_set_key = h;
+    for (std::size_t c = 0; c < nchan; ++c) {
+      // e = 0, d = 1, affinity type t = 2 + t.
+      const std::uint64_t channel =
+          c < ned ? c : 2 + static_cast<std::uint64_t>(types[c - ned]);
+      racer_keys.push_back((h ^ channel) * 1099511628211ULL);
+    }
   }
 
   // One z-slab: every write lands in the slab's own index range of each
@@ -110,60 +150,53 @@ GridMapSet GridMapCalculator::calculate(
   // across thread counts.
   const auto slab = [&](std::size_t slab_iz) {
     const int iz = static_cast<int>(slab_iz);
-    util::aligned_vector<double> acc(nchan_padded, 0.0);
+    const int nx = box.npts[0];
+    // One accumulator block per point of an x row.
+    std::vector<double> acc(static_cast<std::size_t>(nx) * nchan);
     for (int iy = 0; iy < box.npts[1]; ++iy) {
-      for (int ix = 0; ix < box.npts[0]; ++ix) {
-        const mol::Vec3 p{origin.x + ix * box.spacing,
-                          origin.y + iy * box.spacing,
-                          origin.z + iz * box.spacing};
-        std::fill(acc.begin(), acc.end(), 0.0);
-
-        neighbors_.for_each_within(p, [&](int ai, double d2) {
-          const auto a = static_cast<std::size_t>(ai);
-          // Broadcast bins: one (bin, fraction) computation serves every
-          // channel. Each accumulator lane adds factor * interpolate in
-          // the scalar loop's per-atom order, so the maps stay
-          // bit-identical to the unbatched path.
-          const lut::LaneBins bins = lut::lane_bins(simd::f64x(d2));
-          const double* const* row = rows.data() + a * nchan_padded;
-          const double* factor = factors.data() + a * nchan_padded;
-          for (std::size_t c = 0; c < nchan_padded; c += W) {
-            simd::f64x sum = simd::f64x::load(acc.data() + c);
-            sum += simd::f64x::load(factor + c) *
-                   lut::interpolate_rows(row + c, bins);
-            sum.store(acc.data() + c);
-          }
-        });
-
-        set.electrostatic.at(ix, iy, iz) = acc[0];
-        set.desolvation.at(ix, iy, iz) = acc[1];
-        for (std::size_t t = 0; t < ntypes; ++t) {
-          set.affinity[t].second.at(ix, iy, iz) = acc[2 + t];
-        }
+      std::fill(acc.begin(), acc.end(), 0.0);
+      neighbors_.for_each_within_row(
+          origin.x, box.spacing, nx, origin.y + iy * box.spacing,
+          origin.z + iz * box.spacing, [&](int ix, int ai, double d2) {
+            const auto a = static_cast<std::size_t>(ai);
+            // One (bin, fraction) computation serves every channel, with
+            // the arithmetic of lut::interpolate, so each channel's
+            // per-atom sum is bit-identical to a per-channel lookup.
+            constexpr double kInvStep = lut::kEntries / lut::kCutoffSq;
+            const double x = d2 * kInvStep;
+            const int bin = std::min(static_cast<int>(x), lut::kEntries - 1);
+            const double t = x - static_cast<double>(bin);
+            const double* lo = atom_table[a] + static_cast<std::size_t>(bin) * nchan;
+            const double* hi = lo + nchan;
+            const double* factor = factors.data() + a * nchan;
+            double* point = acc.data() + static_cast<std::size_t>(ix) * nchan;
+            for (std::size_t c = 0; c < nchan; ++c) {
+              point[c] += factor[c] * (lo[c] + (hi[c] - lo[c]) * t);
+            }
+          });
+      for (int ix = 0; ix < nx; ++ix) {
+        const double* point = acc.data() + static_cast<std::size_t>(ix) * nchan;
+        for (std::size_t c = 0; c < nchan; ++c) out[c]->at(ix, iy, iz) = point[c];
       }
     }
 
-    // Racer determinism digest: the slab's full content, keyed by
-    // (map-set identity, iz). If a SIMD or threading change makes any
-    // slab's bits depend on the schedule, comparing snapshots across
-    // thread counts yields an RC004 naming this reduction and slab.
+    // Racer determinism digest: each channel's slab content, keyed by
+    // (map-set identity, channel, iz). If a SIMD or threading change
+    // makes any slab's bits depend on the schedule, comparing snapshots
+    // across thread counts yields an RC004 naming this reduction and slab.
     if (racer::enabled()) {
-      std::uint64_t h = 1469598103934665603ULL;
-      const auto fold = [&h](double v) {
-        h = (h ^ std::bit_cast<std::uint64_t>(v)) * 1099511628211ULL;
-      };
-      for (int iy = 0; iy < box.npts[1]; ++iy) {
-        for (int ix = 0; ix < box.npts[0]; ++ix) {
-          fold(set.electrostatic.at(ix, iy, iz));
-          fold(set.desolvation.at(ix, iy, iz));
-          for (std::size_t t = 0; t < ntypes; ++t) {
-            fold(set.affinity[t].second.at(ix, iy, iz));
+      for (std::size_t c = 0; c < nchan; ++c) {
+        std::uint64_t h = 1469598103934665603ULL;
+        for (int iy = 0; iy < box.npts[1]; ++iy) {
+          for (int ix = 0; ix < box.npts[0]; ++ix) {
+            h = (h ^ std::bit_cast<std::uint64_t>(out[c]->at(ix, iy, iz))) *
+                1099511628211ULL;
           }
         }
+        racer::on_reduction(
+            "dock.autogrid.slab_merge",
+            racer_keys[c] ^ (0x9e3779b97f4a7c15ULL * (slab_iz + 1)), h);
       }
-      racer::on_reduction(
-          "dock.autogrid.slab_merge",
-          racer_set_key ^ (0x9e3779b97f4a7c15ULL * (slab_iz + 1)), h);
     }
   };
 
@@ -190,7 +223,7 @@ GridMapSet GridMapCalculator::calculate(
   } else {
     for (std::size_t iz = 0; iz < nz; ++iz) timed_slab(iz);
   }
-  return set;
+  if (opts_.sweep_observer) opts_.sweep_observer(static_cast<int>(nchan));
 }
 
 std::string GridParameterFile::to_text() const {

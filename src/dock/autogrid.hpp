@@ -11,7 +11,9 @@
 /// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
 /// squared distance, and the z-slab loop optionally fans out over a
 /// ThreadPool. Each slab writes a disjoint range of every map, so the
-/// result is bit-identical for any thread count.
+/// result is bit-identical for any thread count. A sweep may compute any
+/// subset of a map set's channels (calculate_into), which is how lazily
+/// built map sets add only the types their ligands use.
 
 #include <functional>
 
@@ -34,6 +36,9 @@ struct AutogridOptions {
   /// be thread-safe; the scidock AutoGrid stage installs one that feeds
   /// the obs metrics/trace layer.
   std::function<void(int iz, double seconds)> slab_observer;
+  /// Called once after each sweep completes, with the number of channels
+  /// it computed (e and d count one each).
+  std::function<void(int channels)> sweep_observer;
 };
 
 class GridMapCalculator {
@@ -47,6 +52,18 @@ class GridMapCalculator {
   GridMapSet calculate(const GridBox& box,
                        const std::vector<mol::AdType>& ligand_types,
                        ThreadPool* pool = nullptr) const;
+
+  /// Compute a subset of the channels of `set` (shaped by
+  /// GridMapSet::shaped) in one fused sweep: the electrostatic and
+  /// desolvation maps when `electrostatic_and_desolvation`, and the
+  /// affinity maps at `slots` (indices into set.affinity). Only those
+  /// maps are written, each allocated here; every channel accumulates on
+  /// its own lane, so a subset is bit-equal to the same maps of the
+  /// all-types sweep. Concurrent calls on one set are safe when their
+  /// channels are disjoint.
+  void calculate_into(GridMapSet& set, bool electrostatic_and_desolvation,
+                      const std::vector<std::size_t>& slots,
+                      ThreadPool* pool = nullptr) const;
 
  private:
   const mol::Molecule& receptor_;
@@ -85,7 +102,7 @@ GridParameterFile make_gpf(const mol::Molecule& receptor,
 /// `quantum`, and the type set covers every supported AutoDock type. Any
 /// drug-like ligand of the campaign then maps to the *same* GPF for a
 /// given receptor, which is what makes receptor-level grid-map reuse
-/// (ArtifactCache::get_or_compute_maps) hit across ligands.
+/// (core::ArtifactCache::resolve_maps) hit across ligands.
 GridParameterFile make_screening_gpf(const mol::Molecule& receptor,
                                      const mol::Molecule& ligand,
                                      double box_padding = 6.0,

@@ -173,9 +173,18 @@ GridMap GridMap::from_map_file(std::string_view text) {
   return map;
 }
 
+GridMapSet GridMapSet::shaped(const GridBox& box,
+                              const std::vector<mol::AdType>& types) {
+  GridMapSet set;
+  set.box = box;
+  set.affinity.reserve(types.size());
+  for (mol::AdType t : types) set.affinity.emplace_back(t, GridMap());
+  return set;
+}
+
 const GridMap* GridMapSet::affinity_for(mol::AdType t) const {
   for (const auto& [type, map] : affinity) {
-    if (type == t) return &map;
+    if (type == t) return map.values().empty() ? nullptr : &map;
   }
   return nullptr;
 }

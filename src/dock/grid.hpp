@@ -206,6 +206,13 @@ struct GridMapSet {
   GridMap electrostatic;
   GridMap desolvation;
 
+  /// A set over `box` with one (empty) affinity slot per type, in order;
+  /// GridMapCalculator::calculate_into fills the maps.
+  static GridMapSet shaped(const GridBox& box,
+                           const std::vector<mol::AdType>& types);
+
+  /// The affinity map of type `t`, or nullptr when the set has no slot
+  /// for `t` or the slot was never computed.
   const GridMap* affinity_for(mol::AdType t) const;
   /// Number of files the real AutoGrid would emit (atom maps + e + d +
   /// field + xyz), used by the provenance file accounting.

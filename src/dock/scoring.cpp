@@ -1,6 +1,7 @@
 #include "dock/scoring.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 
@@ -122,25 +123,58 @@ NeighborList::NeighborList(const mol::Molecule& receptor, double cutoff)
   SCIDOCK_ASSERT(cutoff > 0);
   positions_.reserve(static_cast<std::size_t>(receptor.atom_count()));
   for (const mol::Atom& a : receptor.atoms()) positions_.push_back(a.pos);
-  for (int i = 0; i < receptor.atom_count(); ++i) {
-    const CellKey c = key_of(positions_[static_cast<std::size_t>(i)]);
-    cells_[pack(c.x, c.y, c.z)].push_back(i);
+  if (positions_.empty()) {
+    cell_start_.assign(1, 0);
+    return;
   }
-}
-
-NeighborList::CellKey NeighborList::key_of(const mol::Vec3& p) const {
-  return {static_cast<long long>(std::floor(p.x / cutoff_)),
-          static_cast<long long>(std::floor(p.y / cutoff_)),
-          static_cast<long long>(std::floor(p.z / cutoff_))};
-}
-
-std::uint64_t NeighborList::pack(long long x, long long y, long long z) {
-  // 21 bits per signed coordinate: |coord| < 2^20 cells covers +-8000 km at
-  // an 8 Å cutoff, far beyond any molecular system.
-  const auto fold = [](long long v) {
-    return static_cast<std::uint64_t>(v + (1LL << 20)) & ((1ULL << 21) - 1);
+  const auto cell_of = [&](const mol::Vec3& p) {
+    return std::array<double, 3>{std::floor(p.x / cutoff_),
+                                 std::floor(p.y / cutoff_),
+                                 std::floor(p.z / cutoff_)};
   };
-  return fold(x) | (fold(y) << 21) | (fold(z) << 42);
+  std::array<double, 3> lo = cell_of(positions_.front());
+  std::array<double, 3> hi = lo;
+  for (const mol::Vec3& p : positions_) {
+    const auto c = cell_of(p);
+    for (int k = 0; k < 3; ++k) {
+      lo[k] = std::min(lo[k], c[k]);
+      hi[k] = std::max(hi[k], c[k]);
+    }
+  }
+  // A molecular system spans a few hundred cells per axis at most; the
+  // bound keeps a corrupt coordinate from allocating an absurd grid.
+  constexpr double kMaxCells = double{1 << 24};
+  double cells = 1.0;
+  for (int k = 0; k < 3; ++k) {
+    lo_[k] = lo[k];
+    cells *= hi[k] - lo[k] + 1.0;
+    SCIDOCK_REQUIRE(cells <= kMaxCells,
+                    "receptor too large for the neighbour-list cell grid");
+    dims_[k] = static_cast<int>(hi[k] - lo[k] + 1.0);
+  }
+  // Counting sort by cell; atoms enter each cell in ascending index.
+  const auto linear = [&](const mol::Vec3& p) {
+    const auto c = cell_of(p);
+    return (static_cast<std::size_t>(c[0] - lo_[0]) *
+                static_cast<std::size_t>(dims_[1]) +
+            static_cast<std::size_t>(c[1] - lo_[1])) *
+               static_cast<std::size_t>(dims_[2]) +
+           static_cast<std::size_t>(c[2] - lo_[2]);
+  };
+  std::vector<std::size_t> cell(positions_.size());
+  cell_start_.assign(static_cast<std::size_t>(cells) + 1, 0);
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    cell[i] = linear(positions_[i]);
+    ++cell_start_[cell[i] + 1];
+  }
+  for (std::size_t c = 1; c < cell_start_.size(); ++c) {
+    cell_start_[c] += cell_start_[c - 1];
+  }
+  cell_atoms_.resize(positions_.size());
+  std::vector<std::size_t> fill(cell_start_.begin(), cell_start_.end() - 1);
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    cell_atoms_[fill[cell[i]]++] = static_cast<int>(i);
+  }
 }
 
 std::vector<std::pair<int, int>> intramolecular_pairs(const mol::Molecule& ligand) {

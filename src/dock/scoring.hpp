@@ -5,8 +5,9 @@
 /// (Huey et al. 2007 weights) and Vina's (Trott & Olson 2010), plus the
 /// receptor neighbour list both engines use for direct evaluation.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -75,7 +76,11 @@ double vina_affinity(double intermolecular_energy, int n_rot,
 /// Immutable cell list over receptor atoms supporting fixed-radius
 /// neighbour queries; shared by AutoGrid map generation and Vina's direct
 /// evaluation. Cell edge equals the query cutoff so a 27-cell scan is
-/// sufficient.
+/// sufficient. The cells form a dense CSR grid over the receptor's cell
+/// bounds: a query indexes its 27 cells directly (no hashing) and skips
+/// the ones outside the bounds. Cells are visited in (dx, dy, dz) order
+/// and atoms in ascending index within a cell, so every caller's
+/// accumulation order is fixed.
 class NeighborList {
  public:
   NeighborList(const mol::Molecule& receptor, double cutoff);
@@ -86,32 +91,112 @@ class NeighborList {
   /// the cutoff of `p`.
   template <typename F>
   void for_each_within(const mol::Vec3& p, F&& fn) const {
-    const CellKey c = key_of(p);
-    for (long long dx = -1; dx <= 1; ++dx)
-      for (long long dy = -1; dy <= 1; ++dy)
-        for (long long dz = -1; dz <= 1; ++dz) {
-          const auto it = cells_.find(pack(c.x + dx, c.y + dy, c.z + dz));
-          if (it == cells_.end()) continue;
-          for (int idx : it->second) {
-            const double d2 = mol::distance_sq(positions_[static_cast<std::size_t>(idx)], p);
-            if (d2 <= cutoff_sq_) fn(idx, d2);
+    // Cell coordinates relative to the grid's first cell, in doubles
+    // until the range check so a far-away point cannot overflow the cast.
+    const double fx = std::floor(p.x / cutoff_) - lo_[0];
+    const double fy = std::floor(p.y / cutoff_) - lo_[1];
+    const double fz = std::floor(p.z / cutoff_) - lo_[2];
+    if (fx < -1.0 || fy < -1.0 || fz < -1.0 || fx > dims_[0] ||
+        fy > dims_[1] || fz > dims_[2]) {
+      return;  // no cell of the 27 lies inside the grid
+    }
+    visit_cells(static_cast<int>(fx), static_cast<int>(fy),
+                static_cast<int>(fz), [&](int idx) {
+                  const double d2 = mol::distance_sq(
+                      positions_[static_cast<std::size_t>(idx)], p);
+                  if (d2 <= cutoff_sq_) fn(idx, d2);
+                });
+  }
+
+  /// Row query for grid sweeps: for each ix in [0, n), the point
+  /// p = {x0 + ix * dx, y, z}. Calls `fn(ix, atom_index, distance_sq)`
+  /// with, for every ix in turn, exactly the sequence for_each_within(p)
+  /// produces. Consecutive points in one cell share one scan of their 27
+  /// cells, kept to the atoms within the cutoff of the points' span, so
+  /// each point tests a few dozen candidates instead of every atom of
+  /// the 27 cells.
+  template <typename F>
+  void for_each_within_row(double x0, double dx, int n, double y, double z,
+                           F&& fn) const {
+    const double fy = std::floor(y / cutoff_) - lo_[1];
+    const double fz = std::floor(z / cutoff_) - lo_[2];
+    if (fy < -1.0 || fz < -1.0 || fy > dims_[1] || fz > dims_[2]) return;
+    const int cy = static_cast<int>(fy);
+    const int cz = static_cast<int>(fz);
+    std::vector<int> candidates;
+    int ix = 0;
+    while (ix < n) {
+      const double fx = std::floor((x0 + ix * dx) / cutoff_) - lo_[0];
+      int end = ix + 1;
+      while (end < n && std::floor((x0 + end * dx) / cutoff_) - lo_[0] == fx) {
+        ++end;
+      }
+      if (fx >= -1.0 && fx <= dims_[0]) {
+        // The run's points span [xa, xb] on the row; an atom farther than
+        // the cutoff from that segment fails every point's test, so
+        // dropping it leaves each point's sequence unchanged. The slack
+        // keeps rounding from dropping an atom at the boundary.
+        const double xa = x0 + ix * dx;
+        const double xb = x0 + (end - 1) * dx;
+        const double bound = cutoff_sq_ * (1.0 + 1e-12) + 1e-12;
+        candidates.clear();
+        const int cx = static_cast<int>(fx);
+        visit_cells(cx, cy, cz, [&](int idx) {
+          const mol::Vec3& a = positions_[static_cast<std::size_t>(idx)];
+          const double ex = a.x < xa ? xa - a.x : a.x > xb ? a.x - xb : 0.0;
+          const double ey = a.y - y;
+          const double ez = a.z - z;
+          if (ex * ex + ey * ey + ez * ez <= bound) candidates.push_back(idx);
+        });
+        for (int k = ix; k < end; ++k) {
+          const mol::Vec3 p{x0 + k * dx, y, z};
+          for (int idx : candidates) {
+            const double d2 =
+                mol::distance_sq(positions_[static_cast<std::size_t>(idx)], p);
+            if (d2 <= cutoff_sq_) fn(k, idx, d2);
           }
         }
+      }
+      ix = end;
+    }
   }
 
   int atom_count() const { return static_cast<int>(positions_.size()); }
 
  private:
-  struct CellKey {
-    long long x, y, z;
-  };
-  CellKey key_of(const mol::Vec3& p) const;
-  static std::uint64_t pack(long long x, long long y, long long z);
+  /// Every atom of the up to 27 in-grid cells around cell (cx, cy, cz)
+  /// (grid-relative), in (dx, dy, dz) order, ascending within a cell.
+  template <typename F>
+  void visit_cells(int cx, int cy, int cz, F&& fn) const {
+    for (int x = cx - 1; x <= cx + 1; ++x) {
+      if (x < 0 || x >= dims_[0]) continue;
+      for (int y = cy - 1; y <= cy + 1; ++y) {
+        if (y < 0 || y >= dims_[1]) continue;
+        const std::size_t row =
+            (static_cast<std::size_t>(x) * static_cast<std::size_t>(dims_[1]) +
+             static_cast<std::size_t>(y)) *
+            static_cast<std::size_t>(dims_[2]);
+        for (int z = cz - 1; z <= cz + 1; ++z) {
+          if (z < 0 || z >= dims_[2]) continue;
+          const std::size_t cell = row + static_cast<std::size_t>(z);
+          for (std::size_t k = cell_start_[cell]; k < cell_start_[cell + 1];
+               ++k) {
+            fn(cell_atoms_[k]);
+          }
+        }
+      }
+    }
+  }
 
   double cutoff_;
   double cutoff_sq_;
   std::vector<mol::Vec3> positions_;
-  std::unordered_map<std::uint64_t, std::vector<int>> cells_;
+  double lo_[3] = {0.0, 0.0, 0.0};  ///< floor(coord / cutoff) of cell 0
+  int dims_[3] = {0, 0, 0};         ///< cells per axis (0 when empty)
+  /// CSR: the atoms of cell c are cell_atoms_[cell_start_[c] ..
+  /// cell_start_[c + 1]), ascending; cells are x-major, z fastest.
+  std::vector<std::size_t> cell_start_;
+  std::vector<int> cell_atoms_;
 };
 
 /// Ligand intramolecular pair list: atom pairs separated by >= 3 bonds,

@@ -83,6 +83,7 @@ const std::vector<std::string_view>& known_metric_names() {
       kTuplesCompleted,
       kTuplesLost,
       // AutoGrid kernel
+      kKernelAutogridChannels,
       kKernelAutogridMapsets,
       kKernelAutogridSlabSeconds,
       kKernelAutogridSlabs,

@@ -50,20 +50,25 @@ inline constexpr const char* kActivationSeconds =
     "scidock_executor_activation_seconds";
 
 // ---- grid-map cache + kernel series (DESIGN.md §10) ----
-// The single-flight grid-map cache counts each AutoGrid activation as
-// exactly one of hit / miss / inflight-wait once it finishes, so
-// hits + misses + waits == count(FINISHED autogrid activations) and the
-// InvariantChecker reconciles the three against PROV-Wf SQL.
+// Map sets are built on first use by the AutoDock 4 activations, which
+// count each FINISHED activation as exactly one of hit / miss /
+// inflight-wait, so hits + misses + waits == count(FINISHED autodock4
+// activations) and the InvariantChecker reconciles the three against
+// PROV-Wf SQL.
 inline constexpr const char* kCacheGridmapsHits =
     "scidock_cache_gridmaps_hits_total";
 inline constexpr const char* kCacheGridmapsMisses =
     "scidock_cache_gridmaps_misses_total";
 inline constexpr const char* kCacheGridmapsInflightWaits =
     "scidock_cache_gridmaps_inflight_waits_total";
-// Kernel-side series: map-set computations (one per cache miss at most),
-// z-slabs executed, and per-slab wall time (the AutoGrid fan-out shape).
+// Kernel-side series: map-set sweeps (each cache miss runs one), the
+// channels they built (e and d count one each; with reuse on, each
+// (receptor, channel) is built once), z-slabs executed, and per-slab wall
+// time (the AutoGrid fan-out shape).
 inline constexpr const char* kKernelAutogridMapsets =
     "scidock_kernel_autogrid_mapsets_total";
+inline constexpr const char* kKernelAutogridChannels =
+    "scidock_kernel_autogrid_channels_total";
 inline constexpr const char* kKernelAutogridSlabs =
     "scidock_kernel_autogrid_slabs_total";
 inline constexpr const char* kKernelAutogridSlabSeconds =

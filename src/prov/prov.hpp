@@ -68,8 +68,8 @@ std::string retried_activation_count_sql(long long wkfid);
 /// count(*) of the run's FINISHED activations of one activity tag — a
 /// two-table equi-join (hactivation x hactivity), which the SQL engine
 /// executes through its hash-join fast path. Reconciles the grid-map
-/// cache counters: hits + misses + inflight_waits over the AutoGrid
-/// stage must equal this count.
+/// cache counters: hits + misses + inflight_waits over the AutoDock 4
+/// stage (where map sets are built on first use) must equal this count.
 std::string finished_activation_count_sql(long long wkfid,
                                           std::string_view activity_tag);
 

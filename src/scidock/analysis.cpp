@@ -139,27 +139,10 @@ std::string screen_summary_query() {
 
 std::vector<RelationField> output_relation_schema() {
   return {
-      // generator pair fields (data/generator.cpp build_pairs_relation)
-      {"pair", FieldKind::Text},
-      {"receptor", FieldKind::Text},
-      {"ligand", FieldKind::Text},
-      {"receptor_file", FieldKind::Text},
-      {"ligand_file", FieldKind::Text},
-      {"residues", FieldKind::Int},
-      {"engine", FieldKind::Text},
-      {"workload", FieldKind::Real},
-      {"hg", FieldKind::Int},
-      // fields emitted along the pipeline (scidock.cpp make_pipeline)
-      {"ligand_mol2", FieldKind::Text},
-      {"ligand_pdbqt", FieldKind::Text},
-      {"receptor_pdbqt", FieldKind::Text},
-      {"gpf_file", FieldKind::Text},
-      {"maps_prefix", FieldKind::Text},
-      {"dpf_file", FieldKind::Text},
-      {"conf_file", FieldKind::Text},
+      {"pair", FieldKind::Text},     {"ligand", FieldKind::Text},
+      {"receptor", FieldKind::Text}, {"engine", FieldKind::Text},
+      {"feb", FieldKind::Real},      {"rmsd", FieldKind::Real},
       {"dlg_file", FieldKind::Text},
-      {"feb", FieldKind::Real},
-      {"rmsd", FieldKind::Real},
   };
 }
 
@@ -182,8 +165,8 @@ std::vector<ShippedQuery> shipped_queries() {
        "prov"},
       {"reconcile-retried-activations",
        prov::retried_activation_count_sql(1), "prov"},
-      {"reconcile-finished-autogrid",
-       prov::finished_activation_count_sql(1, kAutogrid), "prov"},
+      {"reconcile-finished-autodock4",
+       prov::finished_activation_count_sql(1, kAutodock4), "prov"},
   };
 }
 

@@ -77,9 +77,10 @@ struct RelationField {
   FieldKind kind = FieldKind::Text;
 };
 
-/// Declared schema of the docking pipeline's final output relation — the
-/// union of the generator's pair fields and every field a pipeline stage
-/// emits, with the types to_sql_table infers for them.
+/// Declared schema of the docking pipeline's final output relation, with
+/// the types to_sql_table infers for them. Both docking routes (AD4 and
+/// Vina) emit every field; build_scidock_pipeline declares these names as
+/// the pipeline's output schema.
 std::vector<RelationField> output_relation_schema();
 
 struct ShippedQuery {

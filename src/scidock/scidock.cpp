@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <tuple>
 #include <unordered_map>
 
 #include "dock/autodock4.hpp"
@@ -15,6 +14,7 @@
 #include "mol/io_pdbqt.hpp"
 #include "mol/io_sdf.hpp"
 #include "mol/prepare.hpp"
+#include "scidock/analysis.hpp"
 #include "util/error.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/rng.hpp"
@@ -57,9 +57,14 @@ ArtifactCache::MapsPtr ArtifactCache::maps(const std::string& key) {
   return it == maps_.end() ? nullptr : it->second;
 }
 
-void ArtifactCache::put_maps(const std::string& key, dock::GridMapSet value) {
+ArtifactCache::MapsPtr ArtifactCache::resolve_maps(
+    const std::string& key,
+    std::shared_ptr<const mol::PreparedReceptor> receptor,
+    const dock::GridBox& box, const std::vector<mol::AdType>& types) {
   MutexLock lock(mutex_);
-  maps_[key] = std::make_shared<dock::GridMapSet>(std::move(value));
+  MapsPtr& slot = maps_[key];
+  if (!slot) slot = std::make_shared<GridMaps>(std::move(receptor), box, types);
+  return slot;
 }
 
 void ArtifactCache::alias_maps(const std::string& key, MapsPtr value) {
@@ -67,72 +72,141 @@ void ArtifactCache::alias_maps(const std::string& key, MapsPtr value) {
   maps_[key] = std::move(value);
 }
 
-std::pair<ArtifactCache::MapsPtr, CacheOutcome>
-ArtifactCache::get_or_compute_maps(
-    const std::string& key,
-    const std::function<dock::GridMapSet()>& compute) {
-  std::shared_future<MapsPtr> future;
-  std::shared_ptr<std::promise<MapsPtr>> owner;
-  CacheOutcome outcome = CacheOutcome::kMiss;
-  /// Racer HB id for the flight handoff: the promise the owner fulfils.
-  const void* flight_sync = nullptr;
-#if SCIDOCK_LOCKDEP_ENABLED
-  const void* flight_owner_pool = nullptr;
-#endif
+int ArtifactCache::grid_channels_built() {
+  std::vector<MapsPtr> handles;
   {
     MutexLock lock(mutex_);
-    const auto it = map_flights_.find(key);
-    if (it != map_flights_.end()) {
-      future = it->second.future;
-      flight_sync = it->second.promise.get();
-      outcome = future.wait_for(std::chrono::seconds(0)) ==
-                        std::future_status::ready
-                    ? CacheOutcome::kHit
-                    : CacheOutcome::kInflightWait;
+    for (const auto& [key, handle] : maps_) handles.push_back(handle);
+  }
+  std::sort(handles.begin(), handles.end());
+  handles.erase(std::unique(handles.begin(), handles.end()), handles.end());
+  int built = 0;
+  for (const MapsPtr& handle : handles) built += handle->channels_built();
+  return built;
+}
+
+GridMaps::GridMaps(std::shared_ptr<const mol::PreparedReceptor> receptor,
+                   const dock::GridBox& box,
+                   const std::vector<mol::AdType>& types)
+    : receptor_(std::move(receptor)),
+      set_(dock::GridMapSet::shaped(box, types)) {
+  SCIDOCK_REQUIRE(receptor_ != nullptr, "grid maps need a prepared receptor");
+  MutexLock lock(mutex_);
+  flights_.resize(1 + types.size());
+}
+
+CacheOutcome GridMaps::require(const std::vector<mol::AdType>& types,
+                               const dock::AutogridOptions& options) {
+  std::vector<std::size_t> wanted{0};
+  for (mol::AdType t : types) {
+    std::size_t slot = 0;
+    while (slot < set_.affinity.size() && set_.affinity[slot].first != t) {
+      ++slot;
+    }
+    SCIDOCK_REQUIRE(slot < set_.affinity.size(),
+                    "the GPF has no map for ligand atom type " +
+                        std::string(mol::ad_type_name(t)));
+    wanted.push_back(1 + slot);
+  }
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+
+  // Claim every unbuilt channel for one sweep of our own; remember the
+  // other sweeps whose channels we read, and whether any is in flight.
+  std::shared_ptr<Flight> mine;
+  std::vector<std::size_t> claimed;
+  std::vector<std::pair<std::shared_ptr<Flight>, bool>> others;  // in flight?
+  {
+    MutexLock lock(mutex_);
+    for (std::size_t ch : wanted) {
+      std::shared_ptr<Flight>& flight = flights_[ch];
+      if (flight == nullptr) {
+        if (mine == nullptr) {
+          mine = std::make_shared<Flight>();
 #if SCIDOCK_LOCKDEP_ENABLED
-      flight_owner_pool = it->second.owner_pool;
+          mine->owner_pool = lockdep::current_pool();
 #endif
-    } else {
-      owner = std::make_shared<std::promise<MapsPtr>>();
-      MapFlight flight{owner, owner->get_future().share()};
-      future = flight.future;
-      flight_sync = owner.get();
-#if SCIDOCK_LOCKDEP_ENABLED
-      // Remember which pool (if any) the owner is a worker of, so a
-      // concurrent waiter from the same pool can be flagged (LD002).
-      flight.owner_pool = lockdep::current_pool();
-#endif
-      map_flights_.emplace(key, std::move(flight));
+        }
+        flight = mine;
+        claimed.push_back(ch);
+      } else if (std::none_of(others.begin(), others.end(),
+                              [&](const auto& o) { return o.first == flight; })) {
+        const bool in_flight = flight->future.wait_for(std::chrono::seconds(0)) !=
+                               std::future_status::ready;
+        others.emplace_back(flight, in_flight);
+      }
     }
   }
-  if (owner) {
+
+  CacheOutcome outcome = CacheOutcome::kHit;
+  if (mine != nullptr) {
     try {
-      auto maps = std::make_shared<const dock::GridMapSet>(compute());
-      // Everything compute() wrote happens-before any waiter that gets
-      // the future: release on the promise, acquire after future.get().
-      racer::on_hb_release(flight_sync, "scidock.gridmaps.single_flight");
-      owner->set_value(std::move(maps));
+      bool with_ed = false;
+      std::vector<std::size_t> slots;
+      for (std::size_t ch : claimed) {
+        if (ch == 0) {
+          with_ed = true;
+        } else {
+          slots.push_back(ch - 1);
+        }
+      }
+      dock::GridMapCalculator(receptor_->molecule, options)
+          .calculate_into(set_, with_ed, slots);
+      outcome = CacheOutcome::kMiss;
+      // Everything the sweep wrote happens-before any caller that gets
+      // the future: release on the flight, acquire after future.get().
+      racer::on_hb_release(mine.get(), "scidock.gridmaps.single_flight");
+      mine->done.set_value();
     } catch (...) {
-      // Waiters already holding the future see the exception; erasing the
-      // flight lets the executor's retry (or a later tuple) recompute.
-      owner->set_exception(std::current_exception());
+      // Drop the partial maps while the channels are still ours. Callers
+      // already holding the future see the exception; freeing the
+      // channels lets the executor's retry (or a later tuple) rebuild.
+      for (std::size_t ch : claimed) {
+        if (ch == 0) {
+          set_.electrostatic = dock::GridMap();
+          set_.desolvation = dock::GridMap();
+        } else {
+          set_.affinity[ch - 1].second = dock::GridMap();
+        }
+      }
+      mine->done.set_exception(std::current_exception());
       MutexLock lock(mutex_);
-      map_flights_.erase(key);
+      for (std::size_t ch : claimed) flights_[ch] = nullptr;
       throw;
     }
   }
+  for (const auto& [flight, in_flight] : others) {
+    if (in_flight) {
+      if (mine == nullptr) outcome = CacheOutcome::kInflightWait;
 #if SCIDOCK_LOCKDEP_ENABLED
-  if (!owner && outcome == CacheOutcome::kInflightWait) {
-    lockdep::on_blocking_wait("scidock.gridmaps.single_flight",
-                              flight_owner_pool,
-                              std::source_location::current());
-  }
+      lockdep::on_blocking_wait("scidock.gridmaps.single_flight",
+                                flight->owner_pool,
+                                std::source_location::current());
 #endif
-  MapsPtr result = future.get();  // blocks inflight waiters; rethrows
-  if (!owner) {
-    racer::on_hb_acquire(flight_sync, "scidock.gridmaps.single_flight");
+    }
+    flight->future.get();  // blocks on in-flight sweeps; rethrows
+    racer::on_hb_acquire(flight.get(), "scidock.gridmaps.single_flight");
   }
-  return {std::move(result), outcome};
+  return outcome;
+}
+
+CacheOutcome GridMaps::require_all(const dock::AutogridOptions& options) {
+  std::vector<mol::AdType> types;
+  for (const auto& [type, map] : set_.affinity) types.push_back(type);
+  return require(types, options);
+}
+
+int GridMaps::channels_built() {
+  MutexLock lock(mutex_);
+  int built = 0;
+  for (std::size_t ch = 0; ch < flights_.size(); ++ch) {
+    const std::shared_ptr<Flight>& flight = flights_[ch];
+    if (flight != nullptr && flight->future.wait_for(std::chrono::seconds(0)) ==
+                                 std::future_status::ready) {
+      built += ch == 0 ? 2 : 1;
+    }
+  }
+  return built;
 }
 
 std::shared_ptr<ArtifactCache> make_artifact_cache() {
@@ -193,6 +267,40 @@ std::string gridmaps_cache_key(const std::string& receptor_pdbqt,
   std::sort(names.begin(), names.end());
   for (const std::string& n : names) key += "|" + n;
   return key;
+}
+
+/// AutoGrid options for a sweep run by this activation. Kernel
+/// observability: per-slab counter/histogram plus a trace span per slab,
+/// so the trace shows the AutoGrid fan-out shape; the map-set and channel
+/// counters are bumped per sweep, when it happens (a sweep whose
+/// activation later fails still happened).
+dock::AutogridOptions autogrid_options(const ActivationContext& ctx) {
+  dock::AutogridOptions agopts;
+  obs::MetricsRegistry* metrics = ctx.obs.metrics;
+  obs::TraceRecorder* trace = ctx.obs.trace;
+  if (metrics == nullptr && trace == nullptr) return agopts;
+  obs::Counter* slabs = nullptr;
+  obs::HistogramMetric* slab_seconds = nullptr;
+  if (metrics != nullptr) {
+    slabs = &metrics->counter(obs::kKernelAutogridSlabs);
+    slab_seconds = &metrics->histogram(obs::kKernelAutogridSlabSeconds);
+  }
+  agopts.slab_observer = [slabs, slab_seconds, trace](int iz, double seconds) {
+    if (slabs != nullptr) slabs->inc();
+    if (slab_seconds != nullptr) slab_seconds->observe(seconds);
+    if (trace != nullptr) {
+      const double dur_us = seconds * 1e6;
+      trace->complete_span("autogrid-slab", "kernel", trace->now_us() - dur_us,
+                           dur_us, obs::current_thread_id(),
+                           {{"iz", std::to_string(iz)}});
+    }
+  };
+  agopts.sweep_observer = [metrics](int channels) {
+    if (metrics == nullptr) return;
+    metrics->counter(obs::kKernelAutogridMapsets).inc();
+    metrics->counter(obs::kKernelAutogridChannels).inc(channels);
+  };
+  return agopts;
 }
 
 }  // namespace
@@ -291,60 +399,27 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
             dock::GridParameterFile::parse(ctx.fs->read(gpf_path));
         const auto rec = load_receptor(cache, ctx, in.require("receptor_pdbqt"));
 
-        // Kernel observability: per-slab counter/histogram plus a trace
-        // span per slab so the trace shows the AutoGrid fan-out shape.
-        dock::AutogridOptions agopts;
-        obs::Counter* slabs = nullptr;
-        obs::HistogramMetric* slab_seconds = nullptr;
-        obs::Counter* mapsets = nullptr;
-        if (ctx.obs.metrics != nullptr) {
-          slabs = &ctx.obs.metrics->counter(obs::kKernelAutogridSlabs);
-          slab_seconds =
-              &ctx.obs.metrics->histogram(obs::kKernelAutogridSlabSeconds);
-          mapsets = &ctx.obs.metrics->counter(obs::kKernelAutogridMapsets);
-        }
-        if (slabs != nullptr || ctx.obs.trace != nullptr) {
-          obs::TraceRecorder* trace = ctx.obs.trace;
-          agopts.slab_observer = [slabs, slab_seconds, trace](int iz,
-                                                             double seconds) {
-            if (slabs != nullptr) slabs->inc();
-            if (slab_seconds != nullptr) slab_seconds->observe(seconds);
-            if (trace != nullptr) {
-              const double dur_us = seconds * 1e6;
-              trace->complete_span("autogrid-slab", "kernel",
-                                   trace->now_us() - dur_us, dur_us,
-                                   obs::current_thread_id(),
-                                   {{"iz", std::to_string(iz)}});
-            }
-          };
-        }
-
-        const auto compute = [&]() {
-          const dock::GridMapCalculator calc(rec->molecule, agopts);
-          dock::GridMapSet maps = calc.calculate(gpf.box, gpf.ligand_types);
-          // Counted at compute time (not activation end): a computation
-          // whose activation later fails still happened, so the checker's
-          // bound is mapsets >= misses, not equality.
-          if (mapsets != nullptr) mapsets->inc();
-          return maps;
-        };
-
-        ArtifactCache::MapsPtr maps;
-        CacheOutcome outcome = CacheOutcome::kMiss;
-        if (o.reuse_grid_maps) {
-          std::tie(maps, outcome) = cache->get_or_compute_maps(
-              gridmaps_cache_key(in.require("receptor_pdbqt"), gpf), compute);
-        } else {
-          maps = std::make_shared<const dock::GridMapSet>(compute());
+        // The map set is a handle built on first use: the AD4 activations
+        // build the channels their ligands read (DESIGN.md §10), so this
+        // activation computes nothing unless the map files are outputs.
+        ArtifactCache::MapsPtr maps =
+            o.reuse_grid_maps
+                ? cache->resolve_maps(
+                      gridmaps_cache_key(in.require("receptor_pdbqt"), gpf),
+                      rec, gpf.box, gpf.ligand_types)
+                : std::make_shared<GridMaps>(rec, gpf.box, gpf.ligand_types);
+        if (o.write_map_files) {
+          maps->require_all(autogrid_options(ctx));
         }
 
         const std::string prefix = pair_dir(o, kAutogrid, in) + "receptor";
         // The field file always lands on the shared FS (it is what the DPF
         // references); the bulky per-type maps only when asked.
+        const dock::GridMapSet& set = maps->maps();
         std::string fld = strformat(
             "# scidock maps field file\nspacing %.4f\nnmaps %d\n",
-            gpf.box.spacing, maps->file_count());
-        for (const auto& [type, map] : maps->affinity) {
+            gpf.box.spacing, set.file_count());
+        for (const auto& [type, map] : set.affinity) {
           fld += "map receptor." + std::string(mol::ad_type_name(type)) + ".map\n";
           if (o.write_map_files) {
             ctx.emit_file(prefix + "." + std::string(mol::ad_type_name(type)) + ".map",
@@ -352,24 +427,13 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
           }
         }
         if (o.write_map_files) {
-          ctx.emit_file(prefix + ".e.map", maps->electrostatic.to_map_file());
-          ctx.emit_file(prefix + ".d.map", maps->desolvation.to_map_file());
+          ctx.emit_file(prefix + ".e.map", set.electrostatic.to_map_file());
+          ctx.emit_file(prefix + ".d.map", set.desolvation.to_map_file());
         }
         ctx.emit_file(prefix + ".maps.fld", fld);
         // The AD4 stage looks maps up by the per-pair prefix it reads from
-        // the DPF; alias that name to the shared set (no copy).
-        cache->alias_maps(prefix, maps);
-        // Cache outcome counters last, after every output landed: a faulted
-        // activation (chaos VFS writes) reruns and counts only once, when
-        // it FINISHES — the invariant the PROV-Wf reconciliation checks.
-        if (ctx.obs.metrics != nullptr) {
-          const char* name = outcome == CacheOutcome::kHit
-                                 ? obs::kCacheGridmapsHits
-                                 : outcome == CacheOutcome::kMiss
-                                       ? obs::kCacheGridmapsMisses
-                                       : obs::kCacheGridmapsInflightWaits;
-          ctx.obs.metrics->counter(name).inc();
-        }
+        // the DPF; alias that name to the shared handle (no copy).
+        cache->alias_maps(prefix, std::move(maps));
         Tuple out = in;
         out.set("maps_prefix", prefix);
         return std::vector<Tuple>{out};
@@ -451,9 +515,13 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         const auto maps = cache->maps(dpf.receptor_maps_prefix);
         SCIDOCK_REQUIRE(maps != nullptr,
                         "AutoGrid maps not found for " + dpf.receptor_maps_prefix);
+        // Build (or wait for) the channels this ligand reads.
+        const CacheOutcome outcome = maps->require(
+            lig->molecule.ad_types_present(), autogrid_options(ctx));
         dock::Autodock4Engine engine(dpf);
         Rng rng(dpf.seed);
-        dock::DockingResult result = engine.dock_with_maps(*maps, *lig, rng);
+        dock::DockingResult result =
+            engine.dock_with_maps(maps->maps(), *lig, rng);
         result.receptor_name = in.require("receptor");
 
         const std::string out_path =
@@ -473,6 +541,17 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::bit_cast<std::uint64_t>(rmsd));
         ctx.emit_value("FEB", feb, "kcal/mol");
         ctx.emit_value("RMSD", rmsd, "A");
+        // Cache outcome counters last, after every output landed: a faulted
+        // activation (chaos VFS writes) reruns and counts only once, when
+        // it FINISHES — the invariant the PROV-Wf reconciliation checks.
+        if (ctx.obs.metrics != nullptr) {
+          const char* name = outcome == CacheOutcome::kHit
+                                 ? obs::kCacheGridmapsHits
+                                 : outcome == CacheOutcome::kMiss
+                                       ? obs::kCacheGridmapsMisses
+                                       : obs::kCacheGridmapsInflightWaits;
+          ctx.obs.metrics->counter(name).inc();
+        }
         Tuple out = in;
         out.set("dlg_file", out_path);
         out.set("feb", strformat("%.4f", feb));
@@ -536,6 +615,9 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
       [](const Tuple&) { return std::string(wf::kEndOfPipeline); },
       tuple_workload, nullptr});
 
+  std::vector<std::string> schema;
+  for (const RelationField& f : output_relation_schema()) schema.push_back(f.name);
+  pipeline.set_output_schema(std::move(schema));
   return pipeline;
 }
 

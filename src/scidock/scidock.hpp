@@ -17,14 +17,14 @@
 ///   8a autodock4    — LGA docking over the maps, .dlg output
 ///   8b autodockvina — MC docking, Vina log output
 
-#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "data/generator.hpp"
+#include "dock/autogrid.hpp"
 #include "dock/dpf.hpp"
 #include "dock/grid.hpp"
 #include "mol/prepare.hpp"
@@ -55,69 +55,112 @@ struct ScidockOptions {
 
   double grid_spacing = 0.55;   ///< Å; AutoGrid's default 0.375 is slower
   bool write_map_files = false; ///< also serialise .map files to the VFS
-  /// Single-flight grid-map reuse (DESIGN.md §10): AutoGrid activations
-  /// sharing a (receptor, box, type-set) key compute the map set once and
-  /// share the result. Off recomputes per tuple, as the paper's original
-  /// workflow does; outputs are bit-identical either way.
+  /// Grid-map reuse (DESIGN.md §10): AutoGrid activations sharing a
+  /// (receptor, box, type-set) key share one lazily built map set, and
+  /// each of its channels is computed once. Off gives every pair its own
+  /// set, as the paper's original workflow does; outputs are
+  /// bit-identical either way.
   bool reuse_grid_maps = true;
   std::string expdir = "/root/exp_SciDock";
 };
 
-/// How a get_or_compute_maps call was satisfied. An activation reports
-/// exactly one outcome, so summed over a run:
-///   hits + misses + inflight_waits == finished AutoGrid activations.
+/// How a GridMaps::require call was satisfied. An AutoDock 4 activation
+/// reports exactly one outcome, so summed over a run:
+///   hits + misses + inflight_waits == finished autodock4 activations.
 enum class CacheOutcome {
-  kHit,           ///< result was already computed and ready
-  kMiss,          ///< this caller computed it (single-flight owner)
-  kInflightWait,  ///< another caller was computing; this one blocked
+  kHit,           ///< every channel asked for was already built
+  kMiss,          ///< this caller built at least one channel
+  kInflightWait,  ///< built nothing, but waited on another caller's sweep
+};
+
+/// One receptor/box's AutoGrid map set, built on first use, channel by
+/// channel (DESIGN.md §10). The AutoGrid activation only resolves the
+/// handle; each AutoDock 4 activation require()s the channels its ligand
+/// reads. Receptors routed to Vina therefore never build maps, and a set
+/// holds only the types its docked ligands use. Thread-safe.
+class GridMaps {
+ public:
+  GridMaps(std::shared_ptr<const mol::PreparedReceptor> receptor,
+           const dock::GridBox& box, const std::vector<mol::AdType>& types);
+
+  /// Make sure the electrostatic and desolvation maps and the affinity
+  /// maps of `types` are built. The missing ones are computed in one fused
+  /// sweep with `options`; e and d only ever come in a set's first sweep.
+  /// Single-flight per channel: a channel another caller is building is
+  /// waited on, not rebuilt. If the sweep throws, its channels go back to
+  /// unbuilt (a retry rebuilds them) and every caller waiting on them sees
+  /// the exception. A type without a slot in the set is an error.
+  CacheOutcome require(const std::vector<mol::AdType>& types,
+                       const dock::AutogridOptions& options = {});
+  /// require() every type of the set (the real AutoGrid's output).
+  CacheOutcome require_all(const dock::AutogridOptions& options = {});
+
+  /// The map set: box, one affinity slot per type, e and d. Only channels
+  /// a completed require() covered hold values; read no other.
+  const dock::GridMapSet& maps() const { return set_; }
+
+  /// Channels built so far (e and d count one each).
+  int channels_built();
+
+ private:
+  /// One sweep's handoff: the builder fulfils `done` once its channels
+  /// are written; callers needing any of them block on `future`.
+  struct Flight {
+    std::promise<void> done;
+    std::shared_future<void> future = done.get_future().share();
+#if SCIDOCK_LOCKDEP_ENABLED
+    /// ThreadPool the builder was a worker of (nullptr outside any pool);
+    /// lets lockdep flag waiters from the same pool (DESIGN.md §11).
+    const void* owner_pool = nullptr;
+#endif
+  };
+
+  const std::shared_ptr<const mol::PreparedReceptor> receptor_;
+  /// Unbuilt affinity maps stay empty; a sweep writes only its own
+  /// channels, so concurrent sweeps over disjoint channels never touch
+  /// the same map.
+  dock::GridMapSet set_;
+  Mutex mutex_{"scidock.gridmaps"};
+  /// Channel 0 is e and d, channel 1 + s the affinity slot s: the sweep
+  /// that builds (or built) it, nullptr while unbuilt.
+  std::vector<std::shared_ptr<Flight>> flights_ SCIDOCK_GUARDED_BY(mutex_);
 };
 
 /// Shared in-process cache of expensive intermediates (prepared
-/// structures and grid maps), keyed by file path. Plays the role of a
-/// VM-local scratch cache over the shared filesystem. Thread-safe;
+/// structures and grid-map handles), keyed by file path. Plays the role
+/// of a VM-local scratch cache over the shared filesystem. Thread-safe;
 /// shared_ptr values so readers keep entries alive without copying.
 class ArtifactCache {
  public:
-  using MapsPtr = std::shared_ptr<const dock::GridMapSet>;
+  using MapsPtr = std::shared_ptr<GridMaps>;
 
   std::shared_ptr<const mol::PreparedLigand> ligand(const std::string& key);
   void put_ligand(const std::string& key, mol::PreparedLigand value);
   std::shared_ptr<const mol::PreparedReceptor> receptor(const std::string& key);
   void put_receptor(const std::string& key, mol::PreparedReceptor value);
+
+  /// The map-set handle registered under `key` (a canonical key or an
+  /// alias), or nullptr.
   MapsPtr maps(const std::string& key);
-  void put_maps(const std::string& key, dock::GridMapSet value);
-  /// Register an additional name for an existing map set (the AutoGrid
+  /// The handle under `key`, registering a fresh one over (receptor, box,
+  /// types) when there is none. Builds nothing.
+  MapsPtr resolve_maps(const std::string& key,
+                       std::shared_ptr<const mol::PreparedReceptor> receptor,
+                       const dock::GridBox& box,
+                       const std::vector<mol::AdType>& types);
+  /// Register an additional name for an existing handle (the AutoGrid
   /// stage aliases its per-pair maps_prefix to the shared canonical set).
   void alias_maps(const std::string& key, MapsPtr value);
-
-  /// Single-flight lookup: the first caller for `key` runs `compute` while
-  /// concurrent callers for the same key block on its result instead of
-  /// recomputing; later callers get the cached set. If `compute` throws,
-  /// the flight is erased (a retry recomputes) and every caller sees the
-  /// exception.
-  std::pair<MapsPtr, CacheOutcome> get_or_compute_maps(
-      const std::string& key, const std::function<dock::GridMapSet()>& compute);
+  /// Channels built over all distinct handles (e and d count one each).
+  int grid_channels_built();
 
  private:
-  struct MapFlight {
-    std::shared_ptr<std::promise<MapsPtr>> promise;
-    std::shared_future<MapsPtr> future;
-#if SCIDOCK_LOCKDEP_ENABLED
-    /// ThreadPool the flight owner was a worker of (nullptr when the
-    /// owner ran outside any pool); lets lockdep flag waiters that block
-    /// on a flight owned by their own pool (DESIGN.md §11).
-    const void* owner_pool = nullptr;
-#endif
-  };
-
   Mutex mutex_{"scidock.cache"};
   std::unordered_map<std::string, std::shared_ptr<const mol::PreparedLigand>>
       ligands_ SCIDOCK_GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::shared_ptr<const mol::PreparedReceptor>>
       receptors_ SCIDOCK_GUARDED_BY(mutex_);
   std::unordered_map<std::string, MapsPtr> maps_ SCIDOCK_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, MapFlight> map_flights_
-      SCIDOCK_GUARDED_BY(mutex_);
 };
 
 /// Build the runnable pipeline: all stages with native implementations,

@@ -9,7 +9,8 @@
 //
 // `dock` and `screen` run the real docking engines natively; `sweep`,
 // `query` and `prov-export` replay on the cloud simulator with full
-// provenance capture.
+// provenance capture. `screen` exits non-zero unless every input pair is
+// either in the output relation or counted lost.
 //
 // `screen` and `sweep` accept --trace-out FILE (Chrome chrome://tracing
 // JSON) and --metrics-out FILE (Prometheus text). Both outputs are
@@ -233,6 +234,15 @@ int cmd_screen(const std::vector<std::string>& args) {
       core::run_native(exp, threads, "SciDock", sinks.view());
   std::printf("%zu pairs docked in %.1f s (%lld lost)\n",
               report.output.size(), report.wall_seconds, report.tuples_lost);
+  // Conservation: every input pair is in the output relation or counted
+  // lost, on every engine route.
+  if (report.output.size() + static_cast<std::size_t>(report.tuples_lost) !=
+      exp.pairs.size()) {
+    std::fprintf(stderr,
+                 "scidock_cli: %zu docked + %lld lost != %zu input pairs\n",
+                 report.output.size(), report.tuples_lost, exp.pairs.size());
+    return 1;
+  }
 
   // With metrics on, prove the counters against the provenance store
   // before reporting success (the paper's provenance is the ground truth).

@@ -342,8 +342,10 @@ class Cell {
 #define SCIDOCK_RACER_READ(obj) ::scidock::racer::on_read(&(obj))
 #define SCIDOCK_RACER_WRITE(obj) ::scidock::racer::on_write(&(obj))
 #else
-#define SCIDOCK_RACER_TRACK(obj, name) ((void)0)
-#define SCIDOCK_RACER_UNTRACK(obj) ((void)0)
-#define SCIDOCK_RACER_READ(obj) ((void)0)
-#define SCIDOCK_RACER_WRITE(obj) ((void)0)
+// Still name the object, so loop variables that exist only to be
+// annotated do not trip -Wunused-variable in builds without the racer.
+#define SCIDOCK_RACER_TRACK(obj, name) ((void)(obj))
+#define SCIDOCK_RACER_UNTRACK(obj) ((void)(obj))
+#define SCIDOCK_RACER_READ(obj) ((void)(obj))
+#define SCIDOCK_RACER_WRITE(obj) ((void)(obj))
 #endif

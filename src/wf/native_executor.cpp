@@ -219,12 +219,23 @@ NativeReport NativeExecutor::run(const Relation& input,
     for (std::size_t i = 0; i < input.size(); ++i) process_tuple(i);
   }
 
-  // Assemble the output relation from the first completed tuple's schema.
-  std::vector<std::string> fields;
-  for (const auto& bucket : final_tuples) {
-    if (!bucket.empty()) {
-      for (const auto& [k, v] : bucket.front().fields()) fields.push_back(k);
-      break;
+  // Assemble the output relation over the pipeline's declared schema, or
+  // else the fields every completed tuple carries (in the first one's
+  // order). Tuples that took different routes (AD4 vs Vina) carry
+  // different intermediate fields; the schema keeps them all in.
+  std::vector<std::string> fields = pipeline_.output_schema();
+  if (fields.empty()) {
+    bool first = true;
+    for (const auto& bucket : final_tuples) {
+      for (const Tuple& t : bucket) {
+        if (first) {
+          for (const auto& [k, v] : t.fields()) fields.push_back(k);
+          first = false;
+        } else {
+          std::erase_if(fields,
+                        [&](const std::string& f) { return !t.has(f); });
+        }
+      }
     }
   }
   report.output = Relation(fields);
@@ -232,16 +243,18 @@ NativeReport NativeExecutor::run(const Relation& input,
     SCIDOCK_RACER_READ(bucket);
     for (Tuple& t : bucket) {
       Tuple projected;
-      bool complete = true;
       for (const std::string& f : fields) {
         const auto v = t.get(f);
+        // A completed tuple without a declared field is a pipeline bug;
+        // dropping it would lose the pair without counting it lost.
         if (!v) {
-          complete = false;
-          break;
+          throw InvalidStateError("output tuple for pair '" +
+                                  t.get("pair").value_or("?") +
+                                  "' lacks declared output field '" + f + "'");
         }
         projected.set(f, *v);
       }
-      if (complete) report.output.add(std::move(projected));
+      report.output.add(std::move(projected));
     }
   }
 

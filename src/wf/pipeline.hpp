@@ -83,8 +83,21 @@ class Pipeline {
   /// simulated executor, which never runs impls).
   std::vector<std::string> chain_for(const Tuple& tuple) const;
 
+  /// Declare the fields of the final output relation (SciCumulus's fixed
+  /// relation schema). Every tuple that completes the chain, whichever
+  /// route it took, must carry each of them; the executor projects onto
+  /// them. Empty (the default) means the fields every completed tuple
+  /// shares.
+  void set_output_schema(std::vector<std::string> fields) {
+    output_schema_ = std::move(fields);
+  }
+  const std::vector<std::string>& output_schema() const {
+    return output_schema_;
+  }
+
  private:
   std::vector<Stage> stages_;
+  std::vector<std::string> output_schema_;
 };
 
 }  // namespace scidock::wf

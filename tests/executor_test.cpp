@@ -61,6 +61,75 @@ Pipeline toy_pipeline(std::atomic<int>* failures_to_inject = nullptr) {
 
 // ------------------------------------------------------- native executor
 
+/// A router and two terminal branches that emit different intermediate
+/// fields (like AD4's dpf_file vs Vina's conf_file) and the same result
+/// field.
+Pipeline routed_pipeline() {
+  Pipeline p;
+  p.add_stage(Stage{
+      "route", AlgebraicOp::Filter,
+      [](const Tuple& in, ActivationContext&) { return std::vector<Tuple>{in}; },
+      [](const Tuple& t) {
+        return t.require("engine") == "vina" ? std::string("vina")
+                                             : std::string("ad4");
+      },
+      nullptr, nullptr});
+  for (const char* engine : {"ad4", "vina"}) {
+    p.add_stage(Stage{
+        engine, AlgebraicOp::Map,
+        [engine](const Tuple& in, ActivationContext&) {
+          Tuple out = in;
+          out.set(std::string(engine) + "_file", "f" + in.require("id"));
+          out.set("result", in.require("id"));
+          return std::vector<Tuple>{out};
+        },
+        [](const Tuple&) { return std::string(kEndOfPipeline); }, nullptr,
+        nullptr});
+  }
+  return p;
+}
+
+TEST(NativeExecutor, KeepsTuplesOfEveryRouteInTheOutput) {
+  // Without a declared schema the output keeps the fields every completed
+  // tuple shares, whichever route completed first.
+  Pipeline p = routed_pipeline();
+  vfs::SharedFileSystem fs;
+  prov::ProvenanceStore store;
+  NativeExecutorOptions opts;
+  opts.threads = 2;
+  const NativeReport report = NativeExecutor(p, fs, store, opts).run(numbers(10), "routed");
+  EXPECT_EQ(report.output.size(), 10u);
+  EXPECT_EQ(report.tuples_lost, 0);
+  const auto& names = report.output.field_names();
+  EXPECT_NE(std::find(names.begin(), names.end(), "result"), names.end());
+  EXPECT_EQ(std::find(names.begin(), names.end(), "ad4_file"), names.end());
+
+  // A declared schema is the output relation's, in declared order.
+  p.set_output_schema({"pair", "engine", "result"});
+  vfs::SharedFileSystem fs2;
+  prov::ProvenanceStore store2;
+  const NativeReport declared =
+      NativeExecutor(p, fs2, store2, opts).run(numbers(10), "declared");
+  EXPECT_EQ(declared.output.size(), 10u);
+  EXPECT_EQ(declared.output.field_names(),
+            (std::vector<std::string>{"pair", "engine", "result"}));
+  std::set<std::string> engines;
+  for (const Tuple& t : declared.output.tuples()) engines.insert(t.require("engine"));
+  EXPECT_EQ(engines, (std::set<std::string>{"ad4", "vina"}));
+}
+
+TEST(NativeExecutor, TupleMissingADeclaredFieldIsAnError) {
+  // The Vina branch never sets ad4_file: a declared schema naming it is a
+  // pipeline bug, reported instead of silently dropping the Vina tuples.
+  Pipeline p = routed_pipeline();
+  p.set_output_schema({"pair", "ad4_file"});
+  vfs::SharedFileSystem fs;
+  prov::ProvenanceStore store;
+  NativeExecutorOptions opts;
+  EXPECT_THROW(NativeExecutor(p, fs, store, opts).run(numbers(4), "bad"),
+               InvalidStateError);
+}
+
 TEST(NativeExecutor, RunsChainAndCollectsOutput) {
   const Pipeline p = toy_pipeline();
   vfs::SharedFileSystem fs;

@@ -7,19 +7,28 @@
 //     pair terms, TrilinearSamplerLanes) match their scalar references
 //     per lane, and the batched pose evaluation (PoseBatch +
 //     evaluate_batch/score_batch) matches pose-at-a-time evaluation;
-//   - AutoGrid maps are bit-identical across thread counts;
-//   - the single-flight grid-map cache computes once per key, propagates
-//     exceptions, and leaves pipeline outputs (FEB/RMSD, map files)
-//     bit-identical to cache-off runs.
+//   - AutoGrid maps are bit-identical across thread counts, and a sweep
+//     over a subset of channels (or an extension sweep) is bit-equal to
+//     the all-types sweep;
+//   - the dense neighbour list visits exactly what the hashed cell scan
+//     visited, in the same order;
+//   - lazily built map sets compute each channel once per key, propagate
+//     exceptions, build nothing for Vina-routed receptors, and leave
+//     pipeline outputs (FEB/RMSD, map files) bit-identical to cache-off
+//     and eager runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,6 +43,7 @@
 #include "mol/prepare.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -353,6 +363,178 @@ TEST(ParallelAutogrid, SlabObserverFiresOncePerSlab) {
   EXPECT_FALSE(negative.load());
 }
 
+// ------------------------------------------------- channel-subset sweeps
+
+void expect_same_channel(const GridMap& got, const GridMap& want,
+                         const std::string& what) {
+  ASSERT_FALSE(got.values().empty()) << what << " was not computed";
+  EXPECT_EQ(got.values(), want.values()) << what;
+}
+
+TEST(LazyAutogrid, ChannelSubsetSweepsAreBitEqualToAllTypes) {
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1KER", tiny()));
+  const GridMapCalculator calc(rec.molecule);
+  const GridBox box = GridBox::around(rec.molecule.center(), 7.0, 0.6);
+  // Five types: an odd channel count, so lane padding differs between the
+  // full sweep (7 channels) and the subsets below.
+  const std::vector<AdType> types = {AdType::C, AdType::OA, AdType::HD,
+                                     AdType::N, AdType::SA};
+  const GridMapSet full = calc.calculate(box, types);
+
+  // A subset without e/d computes exactly the asked-for slots.
+  GridMapSet subset = GridMapSet::shaped(box, types);
+  calc.calculate_into(subset, /*electrostatic_and_desolvation=*/false, {1, 3});
+  EXPECT_TRUE(subset.electrostatic.values().empty());
+  EXPECT_EQ(subset.affinity_for(AdType::C), nullptr);
+  EXPECT_EQ(subset.affinity_for(AdType::HD), nullptr);
+  expect_same_channel(subset.affinity[1].second, full.affinity[1].second, "OA");
+  expect_same_channel(subset.affinity[3].second, full.affinity[3].second, "N");
+
+  // e/d plus one type, then an extension sweep for the rest (one of them
+  // on a pool): the union is the all-types sweep, bit for bit.
+  GridMapSet lazy = GridMapSet::shaped(box, types);
+  calc.calculate_into(lazy, true, {2});
+  ThreadPool pool(3);
+  calc.calculate_into(lazy, false, {0, 1, 3, 4}, &pool);
+  expect_same_channel(lazy.electrostatic, full.electrostatic, "e");
+  expect_same_channel(lazy.desolvation, full.desolvation, "d");
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    expect_same_channel(lazy.affinity[t].second, full.affinity[t].second,
+                        std::string(mol::ad_type_name(types[t])));
+  }
+}
+
+// ---------------------------------------------------- dense neighbour list
+
+/// The pre-CSR cell list, written out: the 27 cells around the query in
+/// (dx, dy, dz) order, each cell's atoms in ascending index.
+std::vector<std::pair<int, double>> reference_scan(const mol::Molecule& m,
+                                                   double cutoff,
+                                                   const mol::Vec3& p) {
+  const auto cell = [&](const mol::Vec3& q) {
+    return std::array<long long, 3>{
+        static_cast<long long>(std::floor(q.x / cutoff)),
+        static_cast<long long>(std::floor(q.y / cutoff)),
+        static_cast<long long>(std::floor(q.z / cutoff))};
+  };
+  const auto c = cell(p);
+  std::vector<std::pair<int, double>> out;
+  for (long long dx = -1; dx <= 1; ++dx)
+    for (long long dy = -1; dy <= 1; ++dy)
+      for (long long dz = -1; dz <= 1; ++dz)
+        for (int i = 0; i < m.atom_count(); ++i) {
+          const auto a = cell(m.atom(i).pos);
+          if (a[0] != c[0] + dx || a[1] != c[1] + dy || a[2] != c[2] + dz) {
+            continue;
+          }
+          const double d2 = mol::distance_sq(m.atom(i).pos, p);
+          if (d2 <= cutoff * cutoff) out.emplace_back(i, d2);
+        }
+  return out;
+}
+
+std::vector<std::pair<int, double>> dense_scan(const NeighborList& list,
+                                               const mol::Vec3& p) {
+  std::vector<std::pair<int, double>> out;
+  list.for_each_within(p, [&](int i, double d2) { out.emplace_back(i, d2); });
+  return out;
+}
+
+TEST(DenseNeighborList, SameCallbacksAsReferenceCellOrderScan) {
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", tiny()));
+  const mol::Molecule& m = rec.molecule;
+  const double cutoff = 8.0;
+  const NeighborList list(m, cutoff);
+  ASSERT_EQ(list.atom_count(), m.atom_count());
+
+  mol::Vec3 lo = m.atom(0).pos, hi = lo;
+  for (const mol::Atom& a : m.atoms()) {
+    lo = {std::min(lo.x, a.pos.x), std::min(lo.y, a.pos.y),
+          std::min(lo.z, a.pos.z)};
+    hi = {std::max(hi.x, a.pos.x), std::max(hi.y, a.pos.y),
+          std::max(hi.z, a.pos.z)};
+  }
+  std::vector<mol::Vec3> points;
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {  // inside the receptor's bounds
+    points.push_back({lo.x + rng.uniform() * (hi.x - lo.x),
+                      lo.y + rng.uniform() * (hi.y - lo.y),
+                      lo.z + rng.uniform() * (hi.z - lo.z)});
+  }
+  for (const mol::Atom& a : m.atoms()) points.push_back(a.pos);  // on atoms
+  // On the edge: the bounds' corners, one cutoff beyond them (the last
+  // cells whose 27-neighbourhood still touches the grid), and exact cell
+  // boundaries.
+  for (double f : {0.0, 1.0}) {
+    for (double pad : {0.0, cutoff, cutoff + 1e-9, 2.0 * cutoff}) {
+      const double s = f == 0.0 ? -pad : pad;
+      points.push_back({(f == 0.0 ? lo.x : hi.x) + s,
+                        (f == 0.0 ? lo.y : hi.y) + s,
+                        (f == 0.0 ? lo.z : hi.z) + s});
+      points.push_back({(f == 0.0 ? lo.x : hi.x) + s, 0.5 * (lo.y + hi.y),
+                        0.5 * (lo.z + hi.z)});
+    }
+  }
+  points.push_back({std::floor(lo.x / cutoff) * cutoff,
+                    std::floor(lo.y / cutoff) * cutoff,
+                    std::ceil(hi.z / cutoff) * cutoff});
+  // Far outside.
+  points.push_back({1.0e4, 0.0, 0.0});
+  points.push_back({-1.0e6, -1.0e6, -1.0e6});
+  points.push_back({0.5 * (lo.x + hi.x), 1.0e9, 0.5 * (lo.z + hi.z)});
+
+  std::size_t hits = 0;
+  for (const mol::Vec3& p : points) {
+    const auto want = reference_scan(m, cutoff, p);
+    EXPECT_EQ(dense_scan(list, p), want)
+        << "at (" << p.x << ", " << p.y << ", " << p.z << ")";
+    hits += want.size();
+  }
+  EXPECT_GT(hits, 0u);
+
+  // An empty receptor has no neighbours anywhere.
+  const mol::Molecule empty("empty");
+  const NeighborList none(empty, cutoff);
+  EXPECT_EQ(none.atom_count(), 0);
+  for (const mol::Vec3& p : {mol::Vec3{0, 0, 0}, mol::Vec3{-4, 3, 1e5}}) {
+    EXPECT_TRUE(dense_scan(none, p).empty());
+  }
+}
+
+TEST(DenseNeighborList, RowQueryMatchesPerPointQueries) {
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", tiny()));
+  const NeighborList list(rec.molecule, 8.0);
+  // Rows through, along the edge of and far outside the receptor, with
+  // spacings that put many or few points in one cell.
+  const GridBox box = GridBox::around(rec.molecule.center(), 16.0, 0.55);
+  const mol::Vec3 o = box.origin();
+  std::size_t hits = 0;
+  for (double dx : {0.375, 0.55, 3.0}) {
+    for (double y : {o.y - 9.0, o.y, rec.molecule.center().y, o.y + 40.0}) {
+      for (double z : {o.z - 30.0, o.z + 0.5, rec.molecule.center().z}) {
+        const int n = 97;
+        std::vector<std::tuple<int, int, double>> row, points;
+        list.for_each_within_row(o.x - 10.0, dx, n, y, z,
+                                 [&](int ix, int i, double d2) {
+                                   row.emplace_back(ix, i, d2);
+                                 });
+        for (int ix = 0; ix < n; ++ix) {
+          list.for_each_within({o.x - 10.0 + ix * dx, y, z},
+                               [&](int i, double d2) {
+                                 points.emplace_back(ix, i, d2);
+                               });
+        }
+        EXPECT_EQ(row, points) << "dx " << dx << " y " << y << " z " << z;
+        hits += points.size();
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
 // --------------------------------------------------- batched pose scoring
 
 /// Random poses over the model box, with a couple translated far outside
@@ -487,26 +669,32 @@ TEST(ScreeningGpf, CanonicalAcrossLigands) {
 namespace scidock::core {
 namespace {
 
-dock::GridMapSet tiny_mapset() {
-  dock::GridMapSet set;
-  set.box = dock::GridBox::around({0, 0, 0}, 2.0, 1.0);
-  set.electrostatic = dock::GridMap(set.box, "e");
-  set.desolvation = dock::GridMap(set.box, "d");
-  return set;
-}
+/// A small prepared receptor and a coarse box around it: a map-set
+/// handle over it builds in milliseconds.
+struct HandleFixture {
+  std::shared_ptr<const mol::PreparedReceptor> receptor =
+      std::make_shared<const mol::PreparedReceptor>(
+          mol::prepare_receptor(data::make_receptor("1KER", dock::tiny())));
+  dock::GridBox box =
+      dock::GridBox::around(receptor->molecule.center(), 4.0, 0.8);
+  std::vector<mol::AdType> types = {mol::AdType::C, mol::AdType::OA,
+                                    mol::AdType::HD, mol::AdType::N};
+};
 
 TEST(SingleFlightCache, ComputesOncePerKeyUnderContention) {
+  const HandleFixture fx;
   ArtifactCache cache;
-  std::atomic<int> computed{0};
+  std::atomic<int> sweeps{0};
+  dock::AutogridOptions opts;
+  opts.sweep_observer = [&](int) { sweeps.fetch_add(1); };
   std::atomic<int> hits{0}, misses{0}, waits{0};
   std::vector<std::thread> threads;
   std::vector<ArtifactCache::MapsPtr> results(8);
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back([&, i] {
-      auto [maps, outcome] = cache.get_or_compute_maps("k", [&] {
-        computed.fetch_add(1);
-        return tiny_mapset();
-      });
+      auto maps = cache.resolve_maps("k", fx.receptor, fx.box, fx.types);
+      const CacheOutcome outcome =
+          maps->require({mol::AdType::C, mol::AdType::OA}, opts);
       results[static_cast<std::size_t>(i)] = maps;
       switch (outcome) {
         case CacheOutcome::kHit: hits.fetch_add(1); break;
@@ -516,52 +704,65 @@ TEST(SingleFlightCache, ComputesOncePerKeyUnderContention) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(computed.load(), 1);
+  EXPECT_EQ(sweeps.load(), 1);
   EXPECT_EQ(misses.load(), 1);
   EXPECT_EQ(hits.load() + waits.load(), 7);
   for (const auto& r : results) EXPECT_EQ(r.get(), results[0].get());
+  // e, d, C and OA; HD and N were never asked for.
+  EXPECT_EQ(results[0]->channels_built(), 4);
+  EXPECT_EQ(results[0]->maps().affinity_for(mol::AdType::HD), nullptr);
 }
 
 TEST(SingleFlightCache, DistinctKeysComputeIndependently) {
+  const HandleFixture fx;
   ArtifactCache cache;
-  int computed = 0;
-  const auto compute = [&] {
-    ++computed;
-    return tiny_mapset();
-  };
-  const auto [a, oa] = cache.get_or_compute_maps("a", compute);
-  const auto [b, ob] = cache.get_or_compute_maps("b", compute);
-  const auto [a2, oa2] = cache.get_or_compute_maps("a", compute);
-  EXPECT_EQ(computed, 2);
-  EXPECT_EQ(oa, CacheOutcome::kMiss);
-  EXPECT_EQ(ob, CacheOutcome::kMiss);
-  EXPECT_EQ(oa2, CacheOutcome::kHit);
-  EXPECT_EQ(a.get(), a2.get());
+  const auto a = cache.resolve_maps("a", fx.receptor, fx.box, fx.types);
+  const auto b = cache.resolve_maps("b", fx.receptor, fx.box, fx.types);
   EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(cache.resolve_maps("a", fx.receptor, fx.box, fx.types).get(),
+            a.get());
+  EXPECT_EQ(a->require({mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(b->require({mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(a->require({mol::AdType::C}), CacheOutcome::kHit);
+  // Extending a set builds only the new channel, not e and d again.
+  EXPECT_EQ(a->require({mol::AdType::C, mol::AdType::N}), CacheOutcome::kMiss);
+  EXPECT_EQ(a->channels_built(), 4);
+  EXPECT_EQ(b->channels_built(), 3);
+  EXPECT_EQ(cache.grid_channels_built(), 7);
+  // A type outside the GPF's set is an error, not a silent empty map.
+  EXPECT_THROW(a->require({mol::AdType::S}), Error);
 }
 
 TEST(SingleFlightCache, ExceptionErasesFlightSoRetryRecomputes) {
+  const HandleFixture fx;
   ArtifactCache cache;
-  EXPECT_THROW(cache.get_or_compute_maps(
-                   "k", []() -> dock::GridMapSet {
-                     throw std::runtime_error("vfs fault");
-                   }),
-               std::runtime_error);
-  // The failed flight is gone: a retry computes fresh and succeeds.
-  const auto [maps, outcome] = cache.get_or_compute_maps("k", tiny_mapset);
-  EXPECT_EQ(outcome, CacheOutcome::kMiss);
-  EXPECT_NE(maps, nullptr);
+  const auto maps = cache.resolve_maps("k", fx.receptor, fx.box, fx.types);
+  dock::AutogridOptions faulty;
+  faulty.slab_observer = [](int, double) {
+    throw std::runtime_error("vfs fault");
+  };
+  EXPECT_THROW(maps->require({mol::AdType::C}, faulty), std::runtime_error);
+  // The failed sweep's channels are free again: a retry builds them.
+  EXPECT_EQ(maps->channels_built(), 0);
+  EXPECT_EQ(maps->require({mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(maps->channels_built(), 3);
+  EXPECT_NE(maps->maps().affinity_for(mol::AdType::C), nullptr);
 }
 
 TEST(SingleFlightCache, AliasSharesTheSameSet) {
+  const HandleFixture fx;
   ArtifactCache cache;
-  const auto [maps, outcome] = cache.get_or_compute_maps("canonical", tiny_mapset);
-  EXPECT_EQ(outcome, CacheOutcome::kMiss);
+  const auto maps =
+      cache.resolve_maps("canonical", fx.receptor, fx.box, fx.types);
   cache.alias_maps("/exp/autogrid/p1/receptor", maps);
   cache.alias_maps("/exp/autogrid/p2/receptor", maps);
   EXPECT_EQ(cache.maps("/exp/autogrid/p1/receptor").get(), maps.get());
   EXPECT_EQ(cache.maps("/exp/autogrid/p2/receptor").get(), maps.get());
   EXPECT_EQ(cache.maps("unknown"), nullptr);
+  // Resolving builds nothing; aliases do not count a set twice.
+  EXPECT_EQ(cache.grid_channels_built(), 0);
+  maps->require({mol::AdType::OA});
+  EXPECT_EQ(cache.grid_channels_built(), 3);
 }
 
 // ------------------------------------------- pipeline-level equivalence
@@ -620,6 +821,7 @@ TEST(GridMapReuse, Table3OutputsIdenticalAcrossCacheAndThreads) {
 TEST(GridMapReuse, CacheCountersReconcileAndHit) {
   ScidockOptions opts;
   opts.dataset = dock::tiny();
+  opts.engine_mode = EngineMode::ForceAd4;
   opts.reuse_grid_maps = true;
   auto exp = make_experiment(some_receptors(2), {"042", "074", "0E6"}, 0, opts);
   obs::MetricsRegistry metrics;
@@ -630,15 +832,105 @@ TEST(GridMapReuse, CacheCountersReconcileAndHit) {
   const long long misses = metrics.counter_value(obs::kCacheGridmapsMisses);
   const long long waits =
       metrics.counter_value(obs::kCacheGridmapsInflightWaits);
-  // 6 AutoGrid activations over 2 receptors: one compute per receptor,
-  // everything else hits (or waited on the in-flight compute).
+  // 6 AD4 activations over 2 receptors: each receptor's first docking
+  // builds (a miss), and later ones hit, wait, or extend the set with
+  // their ligand's new types (a miss again).
   EXPECT_EQ(hits + misses + waits, 6);
-  EXPECT_EQ(misses, 2);
-  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridMapsets), 2);
+  EXPECT_GE(misses, 2);
+  // One sweep per miss, and every (receptor, channel) built exactly once.
+  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridMapsets), misses);
+  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridChannels),
+            exp.cache->grid_channels_built());
+  EXPECT_GT(exp.cache->grid_channels_built(), 0);
   // Slab counter and histogram observe from the same callback.
   EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridSlabs),
             metrics.histogram_count(obs::kKernelAutogridSlabSeconds));
   EXPECT_GT(metrics.counter_value(obs::kKernelAutogridSlabs), 0);
+}
+
+// Lazy map sets (write_map_files=false: AD4 builds only its ligands'
+// channels) give the same Table 3 columns as the eager AutoGrid that
+// builds and writes every GPF type, with the cache on or off and at 1 or
+// 4 threads.
+TEST(GridMapReuse, LazyFebRmsdEqualEagerAcrossCacheAndThreads) {
+  ScidockOptions opts;
+  opts.dataset = dock::tiny();
+  opts.engine_mode = EngineMode::ForceAd4;
+  opts.write_map_files = true;
+  opts.reuse_grid_maps = false;
+  auto eager_exp =
+      make_experiment(some_receptors(2), {"042", "074", "0E6"}, 0, opts);
+  const RunArtifacts eager =
+      collect(eager_exp, run_native(eager_exp, 1, "eager"));
+  ASSERT_EQ(eager.feb_rmsd.size(), 6u);
+
+  opts.write_map_files = false;
+  for (bool reuse : {false, true}) {
+    for (int threads : {1, 4}) {
+      opts.reuse_grid_maps = reuse;
+      auto exp =
+          make_experiment(some_receptors(2), {"042", "074", "0E6"}, 0, opts);
+      const RunArtifacts lazy = collect(exp, run_native(exp, threads, "lazy"));
+      EXPECT_EQ(lazy.feb_rmsd, eager.feb_rmsd)
+          << "reuse " << reuse << ", " << threads << " threads";
+      // Lazy sets hold only the docked ligands' types: fewer channels
+      // than the eager run's every-type sets.
+      EXPECT_LT(exp.cache->grid_channels_built(),
+                eager_exp.cache->grid_channels_built());
+    }
+  }
+}
+
+// In the paper's adaptive mode, receptors routed to Vina never build a
+// map: their AutoGrid activations resolve a handle and compute nothing.
+TEST(GridMapReuse, VinaOnlyReceptorsBuildZeroChannels) {
+  ScidockOptions opts;
+  opts.dataset = dock::tiny();
+  opts.engine_mode = EngineMode::Adaptive;
+  opts.vina_exhaustiveness = 1;
+  opts.vina_steps_per_chain = 8;
+  // Two receptors of each route, by the generator's size routing.
+  std::set<std::string> vina_receptors, ad4_receptors;
+  const int threshold = data::vina_size_threshold(opts.dataset);
+  for (const std::string& code : data::table2_receptors()) {
+    auto& group = data::receptor_residue_count(code, opts.dataset) > threshold
+                      ? vina_receptors
+                      : ad4_receptors;
+    if (group.size() < 2) group.insert(code);
+  }
+  ASSERT_EQ(vina_receptors.size(), 2u);
+  ASSERT_EQ(ad4_receptors.size(), 2u);
+  std::vector<std::string> receptors(ad4_receptors.begin(), ad4_receptors.end());
+  receptors.insert(receptors.end(), vina_receptors.begin(), vina_receptors.end());
+  auto exp = make_experiment(receptors, {"042", "074"}, 0, opts);
+  for (const wf::Tuple& t : exp.pairs.tuples()) {
+    ASSERT_EQ(t.require("engine") == "vina",
+              vina_receptors.count(t.require("receptor")) == 1);
+  }
+  obs::MetricsRegistry metrics;
+  const wf::NativeReport report =
+      run_native(exp, 2, "auto-lazy", obs::Observability{nullptr, &metrics});
+  ASSERT_EQ(report.output.size(), exp.pairs.size());
+
+  int vina_channels = 0;
+  for (const wf::Tuple& t : exp.pairs.tuples()) {
+    const auto maps = exp.cache->maps(exp.options.expdir + "/autogrid/" +
+                                      t.require("pair") + "/receptor");
+    ASSERT_NE(maps, nullptr) << t.require("pair");
+    if (vina_receptors.count(t.require("receptor")) != 0) {
+      vina_channels += maps->channels_built();
+    } else {
+      EXPECT_GE(maps->channels_built(), 3) << t.require("pair");
+    }
+  }
+  EXPECT_EQ(vina_channels, 0);
+  // Every channel built belongs to an AD4 receptor, and was built once.
+  EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridChannels),
+            exp.cache->grid_channels_built());
+  EXPECT_EQ(metrics.counter_value(obs::kCacheGridmapsHits) +
+                metrics.counter_value(obs::kCacheGridmapsMisses) +
+                metrics.counter_value(obs::kCacheGridmapsInflightWaits),
+            2 * static_cast<long long>(ad4_receptors.size()));
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "data/table2.hpp"
 #include "dock/grid.hpp"
 #include "mol/io_pdbqt.hpp"
@@ -52,6 +56,31 @@ TEST(ScidockIntegration, NativeRunProducesDockedPairs) {
     EXPECT_TRUE(exp.fs->exists(t.require("dlg_file")));
   }
   EXPECT_GT(report.activations_finished, 0);
+}
+
+// The paper's default adaptive routing keeps every pair: AD4- and
+// Vina-routed tuples both land in the output relation (an earlier
+// executor took its schema from the first completed tuple and silently
+// dropped the other route's pairs).
+TEST(ScidockIntegration, AdaptiveModeOutputsEveryPair) {
+  auto exp = core::make_experiment(some_receptors(8), data::table3_ligands(),
+                                   0, fast_options());
+  ASSERT_EQ(exp.pairs.size(), 32u);
+  const wf::NativeReport report = core::run_native(exp, /*threads=*/2);
+  EXPECT_EQ(report.output.size(), 32u);
+  EXPECT_EQ(report.tuples_lost, 0);
+  std::map<std::string, int> by_engine;
+  for (const wf::Tuple& t : report.output.tuples()) {
+    ++by_engine[t.require("engine")];
+    EXPECT_TRUE(exp.fs->exists(t.require("dlg_file")));
+  }
+  EXPECT_GT(by_engine["ad4"], 0);
+  EXPECT_GT(by_engine["vina"], 0);
+  std::vector<std::string> declared;
+  for (const core::RelationField& f : core::output_relation_schema()) {
+    declared.push_back(f.name);
+  }
+  EXPECT_EQ(report.output.field_names(), declared);
 }
 
 TEST(ScidockIntegration, VinaActivityWritesOutputPoses) {
