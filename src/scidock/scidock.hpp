@@ -85,7 +85,7 @@ class GridMaps {
 
   /// Make sure the electrostatic and desolvation maps and the affinity
   /// maps of `types` are built. The missing ones are computed in one fused
-  /// sweep with `options`; e and d only ever come in a set's first sweep.
+  /// sweep with `options`; e and d come in the set's first sweep only.
   /// Single-flight per channel: a channel another caller is building is
   /// waited on, not rebuilt. If the sweep throws, its channels go back to
   /// unbuilt (a retry rebuilds them) and every caller waiting on them sees
