@@ -10,9 +10,10 @@
 // sampling >= 2x over scalar on a wide-SIMD build, non-regression
 // within timing noise otherwise;
 // >= 30% lower AutoGrid time at 8 threads; grid-map reuse >= 30% less
-// map-building time, one map set per AD4-routed receptor and each
-// (receptor, channel) built once, with counters reconciled against
-// PROV-Wf by the chaos InvariantChecker).
+// map-building time, one map set per receptor and each (receptor,
+// channel) built once, with counters reconciled against PROV-Wf by the
+// chaos InvariantChecker). It also reports, ungated, Vina grid-sampled
+// versus direct ns/eval and one AutoGrid sweep at 1, 3 and 9 channels.
 //
 // Knobs: SCIDOCK_KERNEL_RECEPTORS / SCIDOCK_KERNEL_LIGANDS shrink the
 // pipeline A/B workload for smoke runs.
@@ -539,6 +540,73 @@ int run_kernel_report() {
     std::printf("(parallel AutoGrid gate skipped: single-core machine)\n");
   }
 
+  // ---- Vina: grid-sampled vs direct evaluation --------------------
+  // The search scores through the ligand's Vina maps; each chain's best
+  // pose is rescored directly. Same poses, interleaved.
+  const dock::GridMapSet vina_maps =
+      dock::compute_vina_maps(fx.receptor.molecule, fx.ligand.molecule, fx.box);
+  const dock::VinaEnergyModel vina_grid(vina_maps, fx.ligand, fx.box);
+  const dock::VinaEnergyModel vina_direct(fx.receptor, fx.ligand, fx.box);
+  std::vector<dock::DockPose> vina_poses;
+  {
+    Rng rng(29);
+    for (int i = 0; i < 64; ++i) {
+      vina_poses.push_back(dock::DockPose::random(
+          fx.box, vina_direct.reference_center(),
+          fx.ligand.torsions.torsion_count(), rng));
+    }
+  }
+  const auto score_all = [&vina_poses](const dock::VinaEnergyModel& model) {
+    double acc = 0.0;
+    for (const dock::DockPose& pose : vina_poses) acc += model(pose);
+    benchmark::DoNotOptimize(acc);
+  };
+  const std::vector<double> vina_ns = interleaved_ns_per_eval(
+      vina_poses.size(), {[&] { score_all(vina_direct); },
+                          [&] { score_all(vina_grid); }});
+  bench::print_compare("Vina energy ns/eval",
+                       strformat("%.0f direct", vina_ns[0]),
+                       strformat("%.0f grid (%.1fx)", vina_ns[1],
+                                 vina_ns[0] / vina_ns[1]));
+
+  // ---- one AutoGrid sweep at 1, 3 and 9 channels ------------------
+  // A sweep walks each grid point's receptor neighbours once and
+  // accumulates every channel per hit. A line through the three costs
+  // splits it into the walk (intercept) and per-channel work (slope).
+  const std::vector<mol::AdType> nine_types(
+      dock::screening_ligand_types().begin(),
+      dock::screening_ligand_types().begin() + 9);
+  const int sweep_channels[3] = {1, 3, 9};
+  double sweep_ms[3];
+  for (int k = 0; k < 3; ++k) {
+    std::vector<std::size_t> slots(static_cast<std::size_t>(sweep_channels[k]));
+    for (std::size_t s = 0; s < slots.size(); ++s) slots[s] = s;
+    const double ns = ns_per_eval(1, [&] {
+      dock::GridMapSet set = dock::GridMapSet::shaped(fx.box, nine_types);
+      fx_calc.calculate_into(set, /*electrostatic_and_desolvation=*/false,
+                             slots, {});
+      benchmark::DoNotOptimize(set);
+    });
+    sweep_ms[k] = ns * 1e-6;
+  }
+  double mean_n = 0.0, mean_t = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    mean_n += sweep_channels[k] / 3.0;
+    mean_t += sweep_ms[k] / 3.0;
+  }
+  double sxy = 0.0, sxx = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    sxy += (sweep_channels[k] - mean_n) * (sweep_ms[k] - mean_t);
+    sxx += (sweep_channels[k] - mean_n) * (sweep_channels[k] - mean_n);
+  }
+  const double sweep_ms_per_channel = sxy / sxx;
+  const double sweep_walk_ms = mean_t - sweep_ms_per_channel * mean_n;
+  bench::print_compare(
+      "AutoGrid sweep ms at 1/3/9 channels",
+      strformat("%.1f/%.1f/%.1f", sweep_ms[0], sweep_ms[1], sweep_ms[2]),
+      strformat("walk %.1f + %.2f per channel", sweep_walk_ms,
+                sweep_ms_per_channel));
+
   // ---- pipeline A/B: grid-map reuse off vs on ---------------------
   // Small structures so the default 10 x 42 campaign stays quick; the
   // reuse machinery (canonical GPF -> shared lazily built map set) is
@@ -576,6 +644,7 @@ int run_kernel_report() {
   // map-building time: the summed autogrid-slab seconds.
   struct PipelineRun {
     std::size_t pairs = 0;
+    std::size_t receptors = 0;       ///< distinct receptors screened
     std::size_t ad4_receptors = 0;   ///< receptors routed to AD4
     std::size_t map_sets_built = 0;  ///< distinct handles with any channel
     int channels_distinct = 0;       ///< channels held by those handles
@@ -598,14 +667,16 @@ int run_kernel_report() {
     const wf::NativeReport report = executor.run(exp.pairs, "kernel-bench");
     exp.prov->set_metrics(nullptr);
 
-    std::set<std::string> ad4_receptors;
+    std::set<std::string> screened, ad4_receptors;
     std::set<core::ArtifactCache::MapsPtr> built_sets;
     for (const wf::Tuple& t : exp.pairs.tuples()) {
+      screened.insert(t.require("receptor"));
       if (t.require("engine") == "ad4") ad4_receptors.insert(t.require("receptor"));
       const auto maps = exp.cache->maps(o.expdir + "/autogrid/" +
                                         t.require("pair") + "/receptor");
       if (maps != nullptr && maps->channels_built() > 0) built_sets.insert(maps);
     }
+    r.receptors = screened.size();
     r.ad4_receptors = ad4_receptors.size();
     r.map_sets_built = built_sets.size();
     r.channels_distinct = exp.cache->grid_channels_built();
@@ -648,26 +719,27 @@ int run_kernel_report() {
                        strformat("%.2f reuse on (-%.0f%%)", stage_on,
                                  reduction_pct));
   bench::print_compare(
-      "grid-map cache", strformat("%lld AD4 lookups", outcomes),
+      "grid-map cache", strformat("%lld docking lookups", outcomes),
       strformat("%lld hit / %lld miss / %lld wait (%.1f%% hit rate)", hits,
                 misses, waits, hit_rate));
   bench::print_compare(
       "channels built",
       strformat("%lld reuse off", off.channels_built),
-      strformat("%lld reuse on, %d distinct, %zu map sets for %zu AD4 "
-                "receptors",
+      strformat("%lld reuse on, %d distinct, %zu map sets for %zu "
+                "receptors (%zu AD4)",
                 on.channels_built, on.channels_distinct, on.map_sets_built,
-                on.ad4_receptors));
+                on.receptors, on.ad4_receptors));
   gate(reduction_pct >= 30.0,
        "grid-map reuse must cut map-building time by >= 30%");
-  // Map sets are built lazily, per channel, by the AD4 activations: one
-  // per AD4-routed receptor (Vina receptors build none), and each
-  // (receptor, channel) exactly once. A ligand with a type its receptor's
-  // set lacks extends the set (another miss), so the old per-activation
-  // "(pairs - receptors) / pairs" hit rate is no longer what reuse
-  // attains; the per-channel count below is the exact form of that gate.
-  gate(outcomes > 0 && on.map_sets_built == on.ad4_receptors,
-       "exactly one map set built per AD4-routed receptor");
+  // Map sets are built lazily, per channel, by the docking activations:
+  // one per receptor (AD4 receptors build the AD4 family, Vina receptors
+  // the Vina family), and each (receptor, channel) exactly once. A ligand
+  // with a type its receptor's set lacks extends the set (another miss),
+  // so the old per-activation "(pairs - receptors) / pairs" hit rate is
+  // no longer what reuse attains; the per-channel count below is the
+  // exact form of that gate.
+  gate(outcomes > 0 && on.map_sets_built == on.receptors,
+       "exactly one map set built per receptor");
   gate(on.channels_built > 0 &&
            on.channels_built == static_cast<long long>(on.channels_distinct),
        "each (receptor, channel) built exactly once");
@@ -694,6 +766,14 @@ int run_kernel_report() {
        {"autogrid_ms_8t", strformat("%.2f", autogrid_8t_s * 1e3)},
        {"autogrid_parallel_speedup",
         strformat("%.2f", autogrid_serial_s / autogrid_8t_s)},
+       {"vina_energy_ns_direct", strformat("%.1f", vina_ns[0])},
+       {"vina_energy_ns_grid", strformat("%.1f", vina_ns[1])},
+       {"vina_grid_speedup", strformat("%.2f", vina_ns[0] / vina_ns[1])},
+       {"sweep_ms_1_channel", strformat("%.2f", sweep_ms[0])},
+       {"sweep_ms_3_channels", strformat("%.2f", sweep_ms[1])},
+       {"sweep_ms_9_channels", strformat("%.2f", sweep_ms[2])},
+       {"sweep_walk_ms", strformat("%.2f", sweep_walk_ms)},
+       {"sweep_ms_per_channel", strformat("%.3f", sweep_ms_per_channel)},
        {"pipeline_pairs", strformat("%zu", input_tuples)},
        {"pipeline_map_build_s_reuse_off", strformat("%.3f", stage_off)},
        {"pipeline_map_build_s_reuse_on", strformat("%.3f", stage_on)},
@@ -701,6 +781,7 @@ int run_kernel_report() {
        {"channels_built_reuse_off", strformat("%lld", off.channels_built)},
        {"channels_built_reuse_on", strformat("%lld", on.channels_built)},
        {"map_sets_built", strformat("%zu", on.map_sets_built)},
+       {"receptors", strformat("%zu", on.receptors)},
        {"ad4_receptors", strformat("%zu", on.ad4_receptors)},
        {"cache_hits", strformat("%lld", hits)},
        {"cache_misses", strformat("%lld", misses)},

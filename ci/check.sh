@@ -27,6 +27,10 @@
 #             racer AND ThreadSanitizer in one binary; each fixture must
 #             be flagged by both detectors (a finding one sees and the
 #             other misses fails the leg)
+#   perfbench the end-to-end benchmark (perfbench/run.py, its own Release
+#             build in .bench_build/): each workload runs for 5 s and its
+#             last line must report "correct": true, i.e. every pair is
+#             reconciled against PROV-Wf
 #
 # The sanitizer stages run the concurrency-heavy labels only
 # (chaos/kernels/lockdep/racer/prov-recovery): those are the suites that
@@ -161,17 +165,31 @@ stage_asan() { stage_sanitizer asan address; }
 stage_ubsan() { stage_sanitizer ubsan undefined; }
 stage_tsan() { stage_sanitizer tsan thread; }
 
+stage_perfbench() {
+  local workload last
+  for workload in screen_auto campaign_prov; do
+    last="$(cd "$REPO_ROOT" && python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 5 --trace 0 | tail -n 1)"
+    echo "perfbench $workload: $last"
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+      "$last" || {
+      echo "ci/check.sh: perfbench: $workload did not report a correct result" >&2
+      exit 1
+    }
+  done
+}
+
 STAGES=("$@")
 if [ "${#STAGES[@]}" -eq 0 ]; then
-  STAGES=(default scalar native lockdep racer clang asan ubsan tsan racer_tsan)
+  STAGES=(default scalar native lockdep racer clang asan ubsan tsan racer_tsan perfbench)
 fi
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    default | scalar | native | lockdep | racer | clang | asan | ubsan | tsan | racer_tsan) ;;
+    default | scalar | native | lockdep | racer | clang | asan | ubsan | tsan | racer_tsan | perfbench) ;;
     *)
       echo "ci/check.sh: unknown stage '$stage'" >&2
-      echo "stages: default scalar native lockdep racer clang asan ubsan tsan racer_tsan" >&2
+      echo "stages: default scalar native lockdep racer clang asan ubsan tsan racer_tsan perfbench" >&2
       exit 2
       ;;
   esac

@@ -18,6 +18,7 @@ GridMapCalculator::GridMapCalculator(const mol::Molecule& receptor,
                                      AutogridOptions opts)
     : receptor_(receptor), opts_(opts),
       tables_(Ad4PairTables::shared(opts.weights)),
+      vina_tables_(VinaPairTables::shared(VinaWeights{})),
       neighbors_(receptor, opts.cutoff) {
   SCIDOCK_ASSERT_MSG(receptor.perceived(), "prepare the receptor before AutoGrid");
   // The LUT domain ends at lut::kCutoff; a wider neighbour cutoff would
@@ -42,13 +43,14 @@ GridMapSet GridMapCalculator::calculate(
   GridMapSet set = GridMapSet::shaped(box, ligand_types);
   std::vector<std::size_t> slots(ligand_types.size());
   for (std::size_t t = 0; t < slots.size(); ++t) slots[t] = t;
-  calculate_into(set, /*electrostatic_and_desolvation=*/true, slots, pool);
+  calculate_into(set, /*electrostatic_and_desolvation=*/true, slots, {}, pool);
   return set;
 }
 
 void GridMapCalculator::calculate_into(GridMapSet& set,
                                        bool electrostatic_and_desolvation,
                                        const std::vector<std::size_t>& slots,
+                                       const std::vector<std::size_t>& vina_slots,
                                        ThreadPool* pool) const {
   const GridBox& box = set.box;
   // The channels of this sweep and the map each one fills, allocated
@@ -60,24 +62,34 @@ void GridMapCalculator::calculate_into(GridMapSet& set,
     out.push_back(&set.electrostatic);
     out.push_back(&set.desolvation);
   }
+  // Per channel after e/d: its ligand type and whether it is a Vina map.
   std::vector<mol::AdType> types;
+  std::vector<bool> is_vina;
   for (std::size_t slot : slots) {
     auto& [type, map] = set.affinity.at(slot);
     map = GridMap(box, std::string(mol::ad_type_name(type)));
     out.push_back(&map);
     types.push_back(type);
+    is_vina.push_back(false);
+  }
+  for (std::size_t slot : vina_slots) {
+    auto& [type, map] = set.vina.at(slot);
+    map = GridMap(box, "vina." + std::string(mol::ad_type_name(type)));
+    out.push_back(&map);
+    types.push_back(type);
+    is_vina.push_back(true);
   }
   if (out.empty()) return;
 
   // The sweep's LUT channels, interleaved by bin in one table per
   // receptor atom type present: with e/d requested, channel 0 is the
   // Coulomb channel (factor = atom charge) and channel 1 the desolvation
-  // Gaussian (factor = atom volume); then the per-ligand-type vdW rows
-  // (factor = 1). Every table shares the LUT resolution, so a hit computes
-  // one bin from its squared distance and reads two adjacent bin rows (a
-  // cache line or two) for all of its channels. Each channel accumulates
-  // on its own, so any subset of channels is bit-equal to the same
-  // channels of a full sweep.
+  // Gaussian (factor = atom volume); then the per-ligand-type AD4 vdW rows
+  // and Vina pair rows (factor = 1). Every table shares the LUT
+  // resolution, so a hit computes one bin from its squared distance and
+  // reads two adjacent bin rows (a cache line or two) for all of its
+  // channels. Each channel accumulates on its own, so any subset of
+  // channels is bit-equal to the same channels of a full sweep.
   const std::size_t natoms = type_.size();
   const std::size_t ned = electrostatic_and_desolvation ? 2 : 0;
   const std::size_t nchan = out.size();
@@ -93,9 +105,11 @@ void GridMapCalculator::calculate_into(GridMapSet& set,
     table.resize(table.size() + stride);
     double* dst = table.data() + table_of[r];
     for (std::size_t c = 0; c < nchan; ++c) {
-      const double* src = c < ned ? (c == 0 ? tables_->coulomb_channel()
-                                            : tables_->desolv_channel())
-                                  : tables_->vdw_row(types[c - ned], rt);
+      const double* src =
+          c < ned          ? (c == 0 ? tables_->coulomb_channel()
+                                     : tables_->desolv_channel())
+          : is_vina[c - ned] ? vina_tables_->row(types[c - ned], rt)
+                             : tables_->vdw_row(types[c - ned], rt);
       for (int bin = 0; bin <= lut::kEntries; ++bin) {
         dst[static_cast<std::size_t>(bin) * nchan + c] = src[bin];
       }
@@ -138,9 +152,11 @@ void GridMapCalculator::calculate_into(GridMapSet& set,
       fold(std::bit_cast<std::uint64_t>(charge_[a]));
     }
     for (std::size_t c = 0; c < nchan; ++c) {
-      // e = 0, d = 1, affinity type t = 2 + t.
+      // e = 0, d = 1, affinity type t = 2 + t, Vina type t = 2 + n + t.
       const std::uint64_t channel =
-          c < ned ? c : 2 + static_cast<std::uint64_t>(types[c - ned]);
+          c < ned ? c
+                  : 2 + static_cast<std::uint64_t>(types[c - ned]) +
+                        (is_vina[c - ned] ? mol::kAdTypeCount : 0);
       racer_keys.push_back((h ^ channel) * 1099511628211ULL);
     }
   }
@@ -176,7 +192,9 @@ void GridMapCalculator::calculate_into(GridMapSet& set,
           });
       for (int ix = 0; ix < nx; ++ix) {
         const double* point = acc.data() + static_cast<std::size_t>(ix) * nchan;
-        for (std::size_t c = 0; c < nchan; ++c) out[c]->at(ix, iy, iz) = point[c];
+        for (std::size_t c = 0; c < nchan; ++c) {
+          out[c]->at(ix, iy, iz) = static_cast<float>(point[c]);
+        }
       }
     }
 
@@ -189,7 +207,7 @@ void GridMapCalculator::calculate_into(GridMapSet& set,
         std::uint64_t h = 1469598103934665603ULL;
         for (int iy = 0; iy < box.npts[1]; ++iy) {
           for (int ix = 0; ix < box.npts[0]; ++ix) {
-            h = (h ^ std::bit_cast<std::uint64_t>(out[c]->at(ix, iy, iz))) *
+            h = (h ^ std::bit_cast<std::uint32_t>(out[c]->at(ix, iy, iz))) *
                 1099511628211ULL;
           }
         }

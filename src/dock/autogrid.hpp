@@ -7,6 +7,8 @@
 /// receptor interaction on each grid point: a type-specific vdW/H-bond
 /// affinity map, a unit-charge electrostatic map and a desolvation map.
 /// AutoDock 4 then scores poses by trilinear interpolation into these maps.
+/// The same sweep fills Vina's per-type maps (the full Vina pair term of a
+/// probe atom), which the Vina search samples the same way.
 ///
 /// The per-point kernel reads the radial LUTs (energy_lut.hpp) indexed by
 /// squared distance, and the z-slab loop optionally fans out over a
@@ -55,20 +57,23 @@ class GridMapCalculator {
 
   /// Compute a subset of the channels of `set` (shaped by
   /// GridMapSet::shaped) in one fused sweep: the electrostatic and
-  /// desolvation maps when `electrostatic_and_desolvation`, and the
-  /// affinity maps at `slots` (indices into set.affinity). Only those
-  /// maps are written, each allocated here; every channel accumulates on
-  /// its own lane, so a subset is bit-equal to the same maps of the
-  /// all-types sweep. Concurrent calls on one set are safe when their
-  /// channels are disjoint.
+  /// desolvation maps when `electrostatic_and_desolvation`, the AD4
+  /// affinity maps at `slots` (indices into set.affinity) and the Vina
+  /// maps at `vina_slots` (indices into set.vina). Only those maps are
+  /// written, each allocated here; every channel accumulates on its own,
+  /// so a subset is bit-equal to the same maps of the all-types sweep of
+  /// its family. Concurrent calls on one set are safe when their channels
+  /// are disjoint.
   void calculate_into(GridMapSet& set, bool electrostatic_and_desolvation,
                       const std::vector<std::size_t>& slots,
+                      const std::vector<std::size_t>& vina_slots,
                       ThreadPool* pool = nullptr) const;
 
  private:
   const mol::Molecule& receptor_;
   AutogridOptions opts_;
   std::shared_ptr<const Ad4PairTables> tables_;
+  std::shared_ptr<const VinaPairTables> vina_tables_;
   NeighborList neighbors_;
   /// Receptor-side factors hoisted out of the per-point kernel, indexed
   /// by atom: partial charge (electrostatic map) and the type's volume

@@ -1,5 +1,6 @@
 #include "dock/energy.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -217,12 +218,43 @@ std::vector<mol::Vec3> Ad4EnergyModel::coords_for(const DockPose& pose) const {
   return ligand_.torsions.apply(reference_coords_, pose.rigid, pose.torsions);
 }
 
-VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
-                                 const mol::PreparedLigand& ligand,
+std::vector<mol::AdType> vina_map_types(const mol::Molecule& ligand) {
+  std::vector<mol::AdType> types;
+  for (const mol::Atom& a : ligand.atoms()) {
+    if (!mol::vina_kind(a.ad_type).skip) types.push_back(a.ad_type);
+  }
+  std::sort(types.begin(), types.end());
+  types.erase(std::unique(types.begin(), types.end()), types.end());
+  return types;
+}
+
+GridBox vina_search_box(const GridBox& grid) {
+  GridBox search;
+  search.center = grid.center;
+  const mol::Vec3 extent = grid.extent();
+  const double sides[3] = {extent.x, extent.y, extent.z};
+  for (int a = 0; a < 3; ++a) {
+    // The 1e-9 absorbs the rounding of spacing * (npts - 1), so an extent
+    // that is a whole number of conf steps after the margin stays whole.
+    const double steps =
+        std::floor((sides[a] - 2.0 * kVinaGridMargin) / search.spacing + 1e-9);
+    search.npts[a] = std::max(2, static_cast<int>(steps) + 1);
+  }
+  return search;
+}
+
+bool vina_grid_covers(const GridBox& grid, const GridBox& search) {
+  const mol::Aabb g = grid.bounds();
+  const mol::Aabb s = search.bounds();
+  const double m = kVinaGridMargin - 1e-6;
+  return s.lo.x - g.lo.x >= m && s.lo.y - g.lo.y >= m && s.lo.z - g.lo.z >= m &&
+         g.hi.x - s.hi.x >= m && g.hi.y - s.hi.y >= m && g.hi.z - s.hi.z >= m;
+}
+
+VinaEnergyModel::VinaEnergyModel(const mol::PreparedLigand& ligand,
                                  const GridBox& box, VinaWeights weights)
-    : receptor_(receptor), ligand_(ligand), box_(box), weights_(weights),
+    : ligand_(ligand), box_(box), bounds_(box.bounds()), weights_(weights),
       tables_(VinaPairTables::shared(weights)),
-      neighbors_(receptor.molecule, 8.0),
       reference_coords_(ligand.molecule.coordinates()),
       reference_center_(root_center(ligand)) {
   for (const auto& [i, j] : intramolecular_pairs(ligand.molecule)) {
@@ -231,6 +263,13 @@ VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
     intra_pairs_.push_back({i, j, tables_->row(ligand.molecule.atom(i).ad_type,
                                                ligand.molecule.atom(j).ad_type)});
   }
+}
+
+VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
+                                 const mol::PreparedLigand& ligand,
+                                 const GridBox& box, VinaWeights weights)
+    : VinaEnergyModel(ligand, box, weights) {
+  neighbors_.emplace(receptor.molecule, 8.0);
   lig_rows_.resize(static_cast<std::size_t>(ligand.molecule.atom_count()) *
                    static_cast<std::size_t>(mol::kAdTypeCount));
   for (int i = 0; i < ligand.molecule.atom_count(); ++i) {
@@ -247,42 +286,67 @@ VinaEnergyModel::VinaEnergyModel(const mol::PreparedReceptor& receptor,
   }
 }
 
-double VinaEnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) const {
+VinaEnergyModel::VinaEnergyModel(const GridMapSet& maps,
+                                 const mol::PreparedLigand& ligand,
+                                 const GridBox& box)
+    : VinaEnergyModel(ligand, box, VinaWeights{}) {
+  // Inside the search box no atom may fall off the maps: the pull-back
+  // is decided on the search box, so the map box must enclose it.
+  SCIDOCK_REQUIRE(vina_grid_covers(maps.box, box),
+                  "Vina maps do not cover the search box with the margin");
+  maps_ = &maps;
+  atom_maps_.reserve(static_cast<std::size_t>(ligand.molecule.atom_count()));
+  for (const mol::Atom& a : ligand.molecule.atoms()) {
+    const GridMap* map = nullptr;
+    if (!mol::vina_kind(a.ad_type).skip) {
+      map = maps.map_for(ScoringFunction::kVina, a.ad_type);
+      SCIDOCK_REQUIRE(map != nullptr,
+                      "missing Vina map for ligand atom type " +
+                          std::string(mol::ad_type_name(a.ad_type)));
+    }
+    atom_maps_.push_back(map);
+  }
+}
+
+double VinaEnergyModel::direct_term(int i, const mol::Vec3& p) const {
   constexpr int W = simd::f64x::kWidth;
+  // Collect the atom's neighbour block (squared distances straight from
+  // the cell list — the table is indexed by r², so no sqrt — plus the
+  // per-hit LUT channel), pad to a lane multiple with r² = cutoff²
+  // (pair_energy_lanes masks those lanes to the analytic zero), then
+  // accumulate lane-parallel and reduce once per atom.
+  d2_scratch_.clear();
+  row_scratch_.clear();
+  const double* const* rows_for_atom =
+      lig_rows_.data() + static_cast<std::size_t>(i) * mol::kAdTypeCount;
+  neighbors_->for_each_within(p, [&](int ri, double d2) {
+    d2_scratch_.push_back(d2);
+    row_scratch_.push_back(
+        rows_for_atom[rec_types_[static_cast<std::size_t>(ri)]]);
+  });
+  while (d2_scratch_.size() % W != 0) {
+    d2_scratch_.push_back(lut::kCutoffSq);
+    row_scratch_.push_back(rows_for_atom[0]);
+  }
+  simd::f64x acc;
+  for (std::size_t k = 0; k < d2_scratch_.size(); k += W) {
+    acc += tables_->pair_energy_lanes(row_scratch_.data() + k,
+                                      simd::f64x::load(d2_scratch_.data() + k));
+  }
+  return acc.hsum();
+}
+
+double VinaEnergyModel::intermolecular(const std::vector<mol::Vec3>& coords) const {
   double e = 0.0;
   for (int i = 0; i < ligand_.molecule.atom_count(); ++i) {
     const mol::Vec3& p = coords[static_cast<std::size_t>(i)];
     // Vina confines the search to the box: out-of-box atoms incur a steep
     // harmonic pull-back, mirroring its boundary handling.
-    if (!box_.contains(p)) {
-      const mol::Vec3 c = box_.center;
-      e += 10.0 * mol::distance_sq(p, c);
+    if (!bounds_.contains(p)) {
+      e += 10.0 * mol::distance_sq(p, box_.center);
       continue;
     }
-    // Collect the atom's neighbour block (squared distances straight from
-    // the cell list — the table is indexed by r², so no sqrt — plus the
-    // per-hit LUT channel), pad to a lane multiple with r² = cutoff²
-    // (pair_energy_lanes masks those lanes to the analytic zero), then
-    // accumulate lane-parallel and reduce once per atom.
-    d2_scratch_.clear();
-    row_scratch_.clear();
-    const double* const* rows_for_atom =
-        lig_rows_.data() + static_cast<std::size_t>(i) * mol::kAdTypeCount;
-    neighbors_.for_each_within(p, [&](int ri, double d2) {
-      d2_scratch_.push_back(d2);
-      row_scratch_.push_back(
-          rows_for_atom[rec_types_[static_cast<std::size_t>(ri)]]);
-    });
-    while (d2_scratch_.size() % W != 0) {
-      d2_scratch_.push_back(lut::kCutoffSq);
-      row_scratch_.push_back(rows_for_atom[0]);
-    }
-    simd::f64x acc;
-    for (std::size_t k = 0; k < d2_scratch_.size(); k += W) {
-      acc += tables_->pair_energy_lanes(row_scratch_.data() + k,
-                                        simd::f64x::load(d2_scratch_.data() + k));
-    }
-    e += acc.hsum();
+    e += maps_ != nullptr ? grid_term(i, p) : direct_term(i, p);
   }
   return e;
 }
@@ -326,28 +390,57 @@ void VinaEnergyModel::intramolecular_batch(std::vector<double>& out) const {
   }
 }
 
+void VinaEnergyModel::intermolecular_grid_batch(std::vector<double>& out) const {
+  constexpr int W = PoseBatch::kLaneWidth;
+  out.resize(static_cast<std::size_t>(batch_.pose_count()));
+  const simd::f64x cx(box_.center.x), cy(box_.center.y), cz(box_.center.z);
+  for (int b = 0; b < batch_.lane_blocks(); ++b) {
+    // Each lane is one pose, accumulated per atom in intermolecular()'s
+    // order: lanes inside the search box sample the atom's map, the rest
+    // take the same harmonic pull-back, so each lane is bit-equal to the
+    // pose-at-a-time path.
+    simd::f64x acc;
+    for (int a = 0; a < batch_.atom_count(); ++a) {
+      const double* xs = batch_.x_plane(b, a);
+      const double* ys = batch_.y_plane(b, a);
+      const double* zs = batch_.z_plane(b, a);
+      alignas(64) double inside[W];
+      bool any_in = false;
+      bool all_in = true;
+      for (int l = 0; l < W; ++l) {
+        const bool in = bounds_.contains({xs[l], ys[l], zs[l]});
+        inside[l] = simd::mask_value(in);
+        any_in = any_in || in;
+        all_in = all_in && in;
+      }
+      simd::f64x value;
+      const GridMap* map = atom_maps_[static_cast<std::size_t>(a)];
+      if (any_in && map != nullptr) {
+        value = TrilinearSamplerLanes(maps_->box, xs, ys, zs).apply(*map);
+      }
+      if (!all_in) {
+        const simd::f64x dx = simd::f64x::load(xs) - cx;
+        const simd::f64x dy = simd::f64x::load(ys) - cy;
+        const simd::f64x dz = simd::f64x::load(zs) - cz;
+        const simd::f64x pull = simd::f64x(10.0) * (dx * dx + dy * dy + dz * dz);
+        value = simd::blend(simd::f64x::load(inside), value, pull);
+      }
+      acc += value;
+    }
+    for (int l = 0; l < batch_.lanes_in_block(b); ++l) {
+      out[static_cast<std::size_t>(b * W + l)] = acc.lane(l);
+    }
+  }
+}
+
 std::vector<double> VinaEnergyModel::evaluate_batch(
     const std::vector<DockPose>& poses) const {
   if (poses.empty()) return {};
   evaluations_ += static_cast<long long>(poses.size());
-  batch_.resize(static_cast<int>(poses.size()),
-                ligand_.molecule.atom_count());
-  std::vector<double> out(poses.size());
-  // The intermolecular term vectorizes within a pose (over neighbour
-  // blocks, whose population differs per pose), so it runs per pose on the
-  // same coordinates that fill the SoA batch; only the fixed-topology
-  // intramolecular pair loop lane-parallelizes across poses.
-  for (int p = 0; p < static_cast<int>(poses.size()); ++p) {
-    const std::vector<mol::Vec3> coords =
-        coords_for(poses[static_cast<std::size_t>(p)]);
-    batch_.set_pose(p, coords);
-    out[static_cast<std::size_t>(p)] = intermolecular(coords);
-  }
-  batch_.pad_tail();
-  std::vector<double> intra;
-  intramolecular_batch(intra);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += intra[i];
-  return out;
+  std::vector<double> inter, intra;
+  score_batch(poses, &inter, &intra);
+  for (std::size_t i = 0; i < inter.size(); ++i) inter[i] += intra[i];
+  return inter;
 }
 
 void VinaEnergyModel::score_batch(const std::vector<DockPose>& poses,
@@ -360,16 +453,23 @@ void VinaEnergyModel::score_batch(const std::vector<DockPose>& poses,
   }
   batch_.resize(static_cast<int>(poses.size()),
                 ligand_.molecule.atom_count());
-  if (inter) inter->resize(poses.size());
+  // The direct intermolecular term vectorizes within a pose (over
+  // neighbour blocks, whose population differs per pose), so it runs per
+  // pose on the coordinates that fill the SoA batch; the grid term and
+  // the fixed-topology intramolecular pair loop lane-parallelize across
+  // poses.
+  const bool direct_inter = inter != nullptr && maps_ == nullptr;
+  if (direct_inter) inter->resize(poses.size());
   for (int p = 0; p < static_cast<int>(poses.size()); ++p) {
     const std::vector<mol::Vec3> coords =
         coords_for(poses[static_cast<std::size_t>(p)]);
     batch_.set_pose(p, coords);
-    if (inter) {
+    if (direct_inter) {
       (*inter)[static_cast<std::size_t>(p)] = intermolecular(coords);
     }
   }
   batch_.pad_tail();
+  if (inter && !direct_inter) intermolecular_grid_batch(*inter);
   if (intra) intramolecular_batch(*intra);
 }
 

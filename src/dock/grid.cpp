@@ -21,7 +21,7 @@ GridBox GridBox::around(const mol::Vec3& center, double half_extent,
 }
 
 GridMap::GridMap(GridBox box, std::string label)
-    : box_(box), label_(std::move(label)), values_(box.total_points(), 0.0) {
+    : box_(box), label_(std::move(label)), values_(box.total_points(), 0.0f) {
   SCIDOCK_ASSERT(box.npts[0] >= 2 && box.npts[1] >= 2 && box.npts[2] >= 2);
 }
 
@@ -35,9 +35,9 @@ std::size_t GridMap::index(int ix, int iy, int iz) const {
               static_cast<std::size_t>(box_.npts[1]) * static_cast<std::size_t>(iz));
 }
 
-double& GridMap::at(int ix, int iy, int iz) { return values_[index(ix, iy, iz)]; }
+float& GridMap::at(int ix, int iy, int iz) { return values_[index(ix, iy, iz)]; }
 
-double GridMap::at(int ix, int iy, int iz) const { return values_[index(ix, iy, iz)]; }
+float GridMap::at(int ix, int iy, int iz) const { return values_[index(ix, iy, iz)]; }
 
 double GridMap::sample(const mol::Vec3& p) const {
   const TrilinearSampler s(box_, p);
@@ -133,7 +133,7 @@ std::string GridMap::to_map_file() const {
                    box_.npts[2] - 1);
   out += strformat("CENTER %.3f %.3f %.3f\n", box_.center.x, box_.center.y,
                    box_.center.z);
-  for (double v : values_) out += strformat("%.4f\n", v);
+  for (float v : values_) out += strformat("%.4f\n", static_cast<double>(v));
   return out;
 }
 
@@ -178,12 +178,16 @@ GridMapSet GridMapSet::shaped(const GridBox& box,
   GridMapSet set;
   set.box = box;
   set.affinity.reserve(types.size());
-  for (mol::AdType t : types) set.affinity.emplace_back(t, GridMap());
+  set.vina.reserve(types.size());
+  for (mol::AdType t : types) {
+    set.affinity.emplace_back(t, GridMap());
+    set.vina.emplace_back(t, GridMap());
+  }
   return set;
 }
 
-const GridMap* GridMapSet::affinity_for(mol::AdType t) const {
-  for (const auto& [type, map] : affinity) {
+const GridMap* GridMapSet::map_for(ScoringFunction f, mol::AdType t) const {
+  for (const auto& [type, map] : family(f)) {
     if (type == t) return map.values().empty() ? nullptr : &map;
   }
   return nullptr;

@@ -49,7 +49,10 @@ struct GridBox {
                         double spacing = 0.375);
 };
 
-/// One scalar field over the box. Storage is x-fastest (AutoGrid order).
+/// One scalar field over the box. Storage is x-fastest (AutoGrid order)
+/// and single precision, as AutoDock 4 keeps its maps: a map value is an
+/// interpolation node, read once per sample and widened to double, and
+/// every sum over map values stays in double.
 class GridMap {
  public:
   GridMap() = default;
@@ -58,8 +61,8 @@ class GridMap {
   const GridBox& box() const { return box_; }
   const std::string& label() const { return label_; }
 
-  double& at(int ix, int iy, int iz);
-  double at(int ix, int iy, int iz) const;
+  float& at(int ix, int iy, int iz);
+  float at(int ix, int iy, int iz) const;
 
   /// Trilinear interpolation; positions outside the box are clamped to a
   /// large penalty (AutoDock treats out-of-box as forbidden).
@@ -75,8 +78,8 @@ class GridMap {
 
   /// Storage is cache-line aligned (util::aligned_vector) so lane-width
   /// SIMD loads in the batched samplers never straddle cache lines.
-  util::aligned_vector<double>& values() { return values_; }
-  const util::aligned_vector<double>& values() const { return values_; }
+  util::aligned_vector<float>& values() { return values_; }
+  const util::aligned_vector<float>& values() const { return values_; }
 
   /// Serialise in (abbreviated) AutoGrid .map format: header + one value
   /// per line. parse() round-trips.
@@ -88,7 +91,7 @@ class GridMap {
 
   GridBox box_;
   std::string label_;
-  util::aligned_vector<double> values_;
+  util::aligned_vector<float> values_;
 };
 
 /// Trilinear cell + weights for one position in one box, computed once and
@@ -136,8 +139,9 @@ class TrilinearSampler {
 /// pose in a PoseBatch), applied to any number of maps sharing the box.
 /// The cell math — including the spacing division, so in/out-of-box
 /// decisions match exactly — and the nested-lerp blend reproduce
-/// TrilinearSampler lane for lane; only the eight corner loads stay
-/// per-lane (the cells differ across poses). Out-of-box lanes read cell 0
+/// TrilinearSampler lane for lane; only the corner loads stay per-lane
+/// (the cells differ across poses), as four paired loads of adjacent
+/// nodes (simd::gather_float_pairs). Out-of-box lanes read cell 0
 /// with zero weights and apply() blends in kOutOfBoxPenalty, mirroring the
 /// scalar model's penalty accumulation.
 class TrilinearSamplerLanes {
@@ -157,31 +161,21 @@ class TrilinearSamplerLanes {
   /// GridMap::kOutOfBoxPenalty. Same contract as TrilinearSampler::apply:
   /// the map must share the constructor box.
   simd::f64x apply(const GridMap& map) const {
-    const double* g = map.values().data();
-    alignas(64) double c[8][simd::f64x::kWidth];
-    for (int l = 0; l < simd::f64x::kWidth; ++l) {
-      const std::size_t b = base_[l];
-      const std::size_t sy = sy_, sz = sz_;
-      c[0][l] = g[b];
-      c[1][l] = g[b + 1];
-      c[2][l] = g[b + sy];
-      c[3][l] = g[b + sy + 1];
-      c[4][l] = g[b + sz];
-      c[5][l] = g[b + sz + 1];
-      c[6][l] = g[b + sy + sz];
-      c[7][l] = g[b + sy + sz + 1];
-    }
+    const float* g = map.values().data();
     const auto lerp = [](simd::f64x a, simd::f64x b, simd::f64x t) {
       return a + (b - a) * t;  // scalar association, no FMA: bit-stable
     };
-    const simd::f64x c00 =
-        lerp(simd::f64x::load(c[0]), simd::f64x::load(c[1]), tx_);
-    const simd::f64x c10 =
-        lerp(simd::f64x::load(c[2]), simd::f64x::load(c[3]), tx_);
-    const simd::f64x c01 =
-        lerp(simd::f64x::load(c[4]), simd::f64x::load(c[5]), tx_);
-    const simd::f64x c11 =
-        lerp(simd::f64x::load(c[6]), simd::f64x::load(c[7]), tx_);
+    // Each x-edge of the cell is two adjacent nodes: one paired load per
+    // lane and edge.
+    const auto edge = [&](std::size_t offset) {
+      simd::f64x lo, hi;
+      simd::gather_float_pairs(g + offset, base_, lo, hi);
+      return lerp(lo, hi, tx_);
+    };
+    const simd::f64x c00 = edge(0);
+    const simd::f64x c10 = edge(sy_);
+    const simd::f64x c01 = edge(sz_);
+    const simd::f64x c11 = edge(sy_ + sz_);
     const simd::f64x interpolated =
         lerp(lerp(c00, c10, ty_), lerp(c01, c11, ty_), tz_);
     return simd::blend(in_mask_, interpolated,
@@ -198,24 +192,46 @@ class TrilinearSamplerLanes {
   bool all_in_box_ = false;
 };
 
-/// The full AutoGrid output for one receptor/box: one affinity map per
-/// ligand atom type plus electrostatic and desolvation maps.
+/// The scoring function a grid channel serves. A map set holds one
+/// channel family per function: AD4 affinity maps plus the shared
+/// electrostatic and desolvation maps, and Vina's per-type maps (the
+/// complete pairwise Vina term of a probe atom of that type, as Vina
+/// 1.1.2 precomputes its grid cache).
+enum class ScoringFunction { kAd4, kVina };
+
+/// The full AutoGrid output for one receptor/box: one AD4 affinity map
+/// per ligand atom type plus electrostatic and desolvation maps, and one
+/// Vina map per ligand atom type.
 struct GridMapSet {
   GridBox box;
-  std::vector<std::pair<mol::AdType, GridMap>> affinity;  ///< per ligand type
+  std::vector<std::pair<mol::AdType, GridMap>> affinity;  ///< AD4, per type
   GridMap electrostatic;
   GridMap desolvation;
+  std::vector<std::pair<mol::AdType, GridMap>> vina;  ///< Vina, per type
 
-  /// A set over `box` with one (empty) affinity slot per type, in order;
-  /// GridMapCalculator::calculate_into fills the maps.
+  /// A set over `box` with one (empty) slot per type, in order, in each
+  /// family; GridMapCalculator::calculate_into fills the maps.
   static GridMapSet shaped(const GridBox& box,
                            const std::vector<mol::AdType>& types);
 
-  /// The affinity map of type `t`, or nullptr when the set has no slot
-  /// for `t` or the slot was never computed.
-  const GridMap* affinity_for(mol::AdType t) const;
+  /// The slots of one family (affinity for kAd4, vina for kVina).
+  std::vector<std::pair<mol::AdType, GridMap>>& family(ScoringFunction f) {
+    return f == ScoringFunction::kAd4 ? affinity : vina;
+  }
+  const std::vector<std::pair<mol::AdType, GridMap>>& family(
+      ScoringFunction f) const {
+    return f == ScoringFunction::kAd4 ? affinity : vina;
+  }
+
+  /// The map of type `t` in family `f`, or nullptr when the set has no
+  /// slot for `t` or the slot was never computed.
+  const GridMap* map_for(ScoringFunction f, mol::AdType t) const;
+  const GridMap* affinity_for(mol::AdType t) const {
+    return map_for(ScoringFunction::kAd4, t);
+  }
   /// Number of files the real AutoGrid would emit (atom maps + e + d +
-  /// field + xyz), used by the provenance file accounting.
+  /// field + xyz), used by the provenance file accounting. Vina maps are
+  /// an in-memory grid cache and are never written.
   int file_count() const { return static_cast<int>(affinity.size()) + 4; }
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "dock/autogrid.hpp"
 #include "dock/cluster.hpp"
 #include "dock/energy.hpp"
 #include "mol/molecule.hpp"
@@ -11,6 +12,22 @@
 #include "util/thread_pool.hpp"
 
 namespace scidock::dock {
+
+GridMapSet compute_vina_maps(const mol::Molecule& receptor,
+                             const mol::Molecule& ligand,
+                             const GridBox& search) {
+  const std::vector<mol::AdType> types = vina_map_types(ligand);
+  // One more grid point on each side: the maps cover the search box with
+  // a margin of one spacing.
+  GridBox grid = search;
+  for (int& n : grid.npts) n += 2;
+  GridMapSet maps = GridMapSet::shaped(grid, types);
+  std::vector<std::size_t> slots(types.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) slots[s] = s;
+  GridMapCalculator(receptor).calculate_into(
+      maps, /*electrostatic_and_desolvation=*/false, {}, slots);
+  return maps;
+}
 
 VinaEngine::VinaEngine(VinaConfig config) : config_(std::move(config)) {}
 
@@ -21,9 +38,21 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
                   "Vina: ligand has unparameterised atoms");
   SCIDOCK_REQUIRE(receptor.molecule.fully_parameterised(),
                   "Vina: receptor has unparameterised atoms");
+  const GridMapSet maps =
+      compute_vina_maps(receptor.molecule, ligand.molecule, box);
+  return dock_with_maps(maps, receptor, ligand, box, rng);
+}
+
+DockingResult VinaEngine::dock_with_maps(const GridMapSet& maps,
+                                         const mol::PreparedReceptor& receptor,
+                                         const mol::PreparedLigand& ligand,
+                                         const GridBox& box, Rng& rng) {
+  SCIDOCK_REQUIRE(ligand.molecule.fully_parameterised(),
+                  "Vina: ligand has unparameterised atoms");
+  SCIDOCK_REQUIRE(receptor.molecule.fully_parameterised(),
+                  "Vina: receptor has unparameterised atoms");
   const auto t0 = std::chrono::steady_clock::now();
 
-  VinaEnergyModel model(receptor, ligand, box);
   const std::vector<mol::Vec3> input_coords = ligand.molecule.coordinates();
   const int n_tors = ligand.torsions.torsion_count();
 
@@ -45,8 +74,9 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
   auto run_chain = [&](std::size_t c) {
     Rng& crng = chain_rngs[c];
     // Each chain evaluates through its own model instance: the evaluation
-    // counter is not thread-safe and cross-chain sharing would race.
-    VinaEnergyModel chain_model(receptor, ligand, box);
+    // counter is not thread-safe and cross-chain sharing would race. A
+    // grid model holds no receptor state, so it costs little to build.
+    VinaEnergyModel chain_model(maps, ligand, box);
     DockPose current =
         DockPose::random(box, chain_model.reference_center(), n_tors, crng);
     double current_e = chain_model(current);
@@ -86,15 +116,18 @@ DockingResult VinaEngine::dock(const mol::PreparedReceptor& receptor,
   result.receptor_name = receptor.molecule.name();
   result.ligand_name = ligand.molecule.name();
   result.engine_name = name();
-  // Rescore every chain's best in one batched pass (run index = chain
-  // index, matching the order the chains were launched in).
+  // Rescore every chain's best by direct evaluation in one batched pass
+  // (run index = chain index, matching the order the chains were launched
+  // in): Vina rescores its output models without the grid cache, so the
+  // reported affinity is the exact Vina function of the reported pose.
+  const VinaEnergyModel direct(receptor, ligand, box);
   std::vector<DockPose> best_poses;
   best_poses.reserve(chains.size());
   for (std::size_t c = 0; c < chains.size(); ++c) {
     best_poses.push_back(chains[c].pose);
     result.energy_evaluations += chains[c].evaluations;
   }
-  append_batch_conformations(model, best_poses, input_coords,
+  append_batch_conformations(direct, best_poses, input_coords,
                              result.conformations);
 
   cluster_conformations(result.conformations, 2.0);

@@ -1,5 +1,6 @@
 #include "mol/charges.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -49,7 +50,14 @@ void assign_gasteiger_charges(Molecule& m, const GasteigerOptions& opts) {
     std::vector<double> chi(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const Peoe p = peoe_params(m.atom(i).element);
-      const double qi = q[static_cast<std::size_t>(i)];
+      // The polynomial is fitted over ionic charges in [-1, +1] (chi(+1)
+      // is the cation electronegativity below). An atom perceived with
+      // dozens of bonds — a cluster of near-coincident atoms in a
+      // receptor — can be pushed past that range in one iteration;
+      // extrapolating the quadratic there feeds back into ever larger
+      // transfers (charges of 1e9 e were seen). Evaluate chi on the
+      // fitted range instead; atoms inside it are unaffected.
+      const double qi = std::clamp(q[static_cast<std::size_t>(i)], -1.0, 1.0);
       chi[static_cast<std::size_t>(i)] = p.a + p.b * qi + p.c * qi * qi;
     }
     std::vector<double> dq(static_cast<std::size_t>(n), 0.0);

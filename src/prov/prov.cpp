@@ -118,17 +118,21 @@ std::string retried_activation_count_sql(long long wkfid) {
       wkfid);
 }
 
-std::string finished_activation_count_sql(long long wkfid,
-                                          std::string_view activity_tag) {
+std::string finished_activation_count_sql(
+    long long wkfid, const std::vector<std::string_view>& activity_tags) {
+  std::string tags;
+  for (std::string_view tag : activity_tags) {
+    if (!tags.empty()) tags += ", ";
+    tags += "'" + std::string(tag) + "'";
+  }
   return strformat(
       "-- reconciles: scidock_cache_gridmaps_hits_total,\n"
       "-- reconciles: scidock_cache_gridmaps_misses_total,\n"
       "-- reconciles: scidock_cache_gridmaps_inflight_waits_total\n"
       "SELECT count(*) FROM hactivity a, hactivation t "
       "WHERE t.actid = a.actid AND a.wkfid = %lld "
-      "AND a.tag = '%s' AND t.status = '%s'",
-      wkfid, std::string(activity_tag).c_str(),
-      std::string(kStatusFinished).c_str());
+      "AND a.tag IN (%s) AND t.status = '%s'",
+      wkfid, tags.c_str(), std::string(kStatusFinished).c_str());
 }
 
 void ProvenanceStore::init_schema(sql::Database& db) {

@@ -65,13 +65,13 @@ std::string activation_count_sql(long long wkfid);
 std::string activations_by_status_sql(long long wkfid);
 /// count(*) of the run's rows with attempts > 1 (== activations retried).
 std::string retried_activation_count_sql(long long wkfid);
-/// count(*) of the run's FINISHED activations of one activity tag — a
-/// two-table equi-join (hactivation x hactivity), which the SQL engine
+/// count(*) of the run's FINISHED activations of the given activity tags
+/// — a two-table equi-join (hactivation x hactivity), which the SQL engine
 /// executes through its hash-join fast path. Reconciles the grid-map
-/// cache counters: hits + misses + inflight_waits over the AutoDock 4
-/// stage (where map sets are built on first use) must equal this count.
-std::string finished_activation_count_sql(long long wkfid,
-                                          std::string_view activity_tag);
+/// cache counters: hits + misses + inflight_waits over the docking
+/// stages (where map sets are built on first use) must equal this count.
+std::string finished_activation_count_sql(
+    long long wkfid, const std::vector<std::string_view>& activity_tags);
 
 struct ProvenanceStoreOptions {
   /// Number of lock-independent shards (>= 1). One shard reproduces the

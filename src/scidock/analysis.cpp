@@ -165,8 +165,9 @@ std::vector<ShippedQuery> shipped_queries() {
        "prov"},
       {"reconcile-retried-activations",
        prov::retried_activation_count_sql(1), "prov"},
-      {"reconcile-finished-autodock4",
-       prov::finished_activation_count_sql(1, kAutodock4), "prov"},
+      {"reconcile-finished-docking",
+       prov::finished_activation_count_sql(1, {kAutodock4, kAutodockVina}),
+       "prov"},
   };
 }
 

@@ -8,6 +8,7 @@
 #include "dock/autodock4.hpp"
 #include "dock/autogrid.hpp"
 #include "dock/dlg.hpp"
+#include "dock/energy.hpp"
 #include "dock/vina.hpp"
 #include "mol/io_mol2.hpp"
 #include "mol/io_pdb.hpp"
@@ -92,21 +93,23 @@ GridMaps::GridMaps(std::shared_ptr<const mol::PreparedReceptor> receptor,
       set_(dock::GridMapSet::shaped(box, types)) {
   SCIDOCK_REQUIRE(receptor_ != nullptr, "grid maps need a prepared receptor");
   MutexLock lock(mutex_);
-  flights_.resize(1 + types.size());
+  flights_.resize(1 + 2 * types.size());
 }
 
-CacheOutcome GridMaps::require(const std::vector<mol::AdType>& types,
+CacheOutcome GridMaps::require(dock::ScoringFunction function,
+                               const std::vector<mol::AdType>& types,
                                const dock::AutogridOptions& options) {
-  std::vector<std::size_t> wanted{0};
+  const bool ad4 = function == dock::ScoringFunction::kAd4;
+  const std::size_t ntypes = set_.affinity.size();
+  const std::size_t family_base = ad4 ? 1 : 1 + ntypes;
+  std::vector<std::size_t> wanted;
+  if (ad4) wanted.push_back(0);
   for (mol::AdType t : types) {
     std::size_t slot = 0;
-    while (slot < set_.affinity.size() && set_.affinity[slot].first != t) {
-      ++slot;
-    }
-    SCIDOCK_REQUIRE(slot < set_.affinity.size(),
-                    "the GPF has no map for ligand atom type " +
-                        std::string(mol::ad_type_name(t)));
-    wanted.push_back(1 + slot);
+    while (slot < ntypes && set_.affinity[slot].first != t) ++slot;
+    SCIDOCK_REQUIRE(slot < ntypes, "the GPF has no map for ligand atom type " +
+                                       std::string(mol::ad_type_name(t)));
+    wanted.push_back(family_base + slot);
   }
   std::sort(wanted.begin(), wanted.end());
   wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
@@ -142,16 +145,18 @@ CacheOutcome GridMaps::require(const std::vector<mol::AdType>& types,
   if (mine != nullptr) {
     try {
       bool with_ed = false;
-      std::vector<std::size_t> slots;
+      std::vector<std::size_t> slots, vina_slots;
       for (std::size_t ch : claimed) {
         if (ch == 0) {
           with_ed = true;
-        } else {
+        } else if (ch <= ntypes) {
           slots.push_back(ch - 1);
+        } else {
+          vina_slots.push_back(ch - 1 - ntypes);
         }
       }
       dock::GridMapCalculator(receptor_->molecule, options)
-          .calculate_into(set_, with_ed, slots);
+          .calculate_into(set_, with_ed, slots, vina_slots);
       outcome = CacheOutcome::kMiss;
       // Everything the sweep wrote happens-before any caller that gets
       // the future: release on the flight, acquire after future.get().
@@ -165,8 +170,10 @@ CacheOutcome GridMaps::require(const std::vector<mol::AdType>& types,
         if (ch == 0) {
           set_.electrostatic = dock::GridMap();
           set_.desolvation = dock::GridMap();
-        } else {
+        } else if (ch <= ntypes) {
           set_.affinity[ch - 1].second = dock::GridMap();
+        } else {
+          set_.vina[ch - 1 - ntypes].second = dock::GridMap();
         }
       }
       mine->done.set_exception(std::current_exception());
@@ -193,7 +200,7 @@ CacheOutcome GridMaps::require(const std::vector<mol::AdType>& types,
 CacheOutcome GridMaps::require_all(const dock::AutogridOptions& options) {
   std::vector<mol::AdType> types;
   for (const auto& [type, map] : set_.affinity) types.push_back(type);
-  return require(types, options);
+  return require(dock::ScoringFunction::kAd4, types, options);
 }
 
 int GridMaps::channels_built() {
@@ -301,6 +308,19 @@ dock::AutogridOptions autogrid_options(const ActivationContext& ctx) {
     metrics->counter(obs::kKernelAutogridChannels).inc(channels);
   };
   return agopts;
+}
+
+/// Count a docking activation's map-set outcome. Called last, after every
+/// output landed: a faulted activation (chaos VFS writes) reruns and
+/// counts only once, when it FINISHES — the invariant the PROV-Wf
+/// reconciliation checks.
+void count_cache_outcome(const ActivationContext& ctx, CacheOutcome outcome) {
+  if (ctx.obs.metrics == nullptr) return;
+  const char* name = outcome == CacheOutcome::kHit ? obs::kCacheGridmapsHits
+                     : outcome == CacheOutcome::kMiss
+                         ? obs::kCacheGridmapsMisses
+                         : obs::kCacheGridmapsInflightWaits;
+  ctx.obs.metrics->counter(name).inc();
 }
 
 }  // namespace
@@ -493,7 +513,9 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         dock::VinaConfig cfg;
         cfg.receptor_file = in.require("receptor_pdbqt");
         cfg.ligand_file = in.require("ligand_pdbqt");
-        cfg.box = gpf.box;
+        // The search box sits inside the GPF box, whose map set the Vina
+        // activation samples, with a margin (DESIGN.md §10).
+        cfg.box = dock::vina_search_box(gpf.box);
         cfg.exhaustiveness = o.vina_exhaustiveness;
         cfg.seed = fnv1a64(in.require("pair")) & 0x7fffffffffffffffULL;
         const std::string out_path = pair_dir(o, kConfPrep, in) + "conf.txt";
@@ -516,8 +538,9 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
         SCIDOCK_REQUIRE(maps != nullptr,
                         "AutoGrid maps not found for " + dpf.receptor_maps_prefix);
         // Build (or wait for) the channels this ligand reads.
-        const CacheOutcome outcome = maps->require(
-            lig->molecule.ad_types_present(), autogrid_options(ctx));
+        const CacheOutcome outcome =
+            maps->require(dock::ScoringFunction::kAd4,
+                          lig->molecule.ad_types_present(), autogrid_options(ctx));
         dock::Autodock4Engine engine(dpf);
         Rng rng(dpf.seed);
         dock::DockingResult result =
@@ -541,17 +564,7 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::bit_cast<std::uint64_t>(rmsd));
         ctx.emit_value("FEB", feb, "kcal/mol");
         ctx.emit_value("RMSD", rmsd, "A");
-        // Cache outcome counters last, after every output landed: a faulted
-        // activation (chaos VFS writes) reruns and counts only once, when
-        // it FINISHES — the invariant the PROV-Wf reconciliation checks.
-        if (ctx.obs.metrics != nullptr) {
-          const char* name = outcome == CacheOutcome::kHit
-                                 ? obs::kCacheGridmapsHits
-                                 : outcome == CacheOutcome::kMiss
-                                       ? obs::kCacheGridmapsMisses
-                                       : obs::kCacheGridmapsInflightWaits;
-          ctx.obs.metrics->counter(name).inc();
-        }
+        count_cache_outcome(ctx, outcome);
         Tuple out = in;
         out.set("dlg_file", out_path);
         out.set("feb", strformat("%.4f", feb));
@@ -569,10 +582,18 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
             dock::VinaConfig::parse(ctx.fs->read(in.require("conf_file")));
         const auto rec = load_receptor(cache, ctx, cfg.receptor_file);
         const auto lig = load_ligand(cache, ctx, cfg.ligand_file);
+        const auto maps = cache->maps(in.require("maps_prefix"));
+        SCIDOCK_REQUIRE(maps != nullptr,
+                        "AutoGrid maps not found for " + in.require("maps_prefix"));
+        // Build (or wait for) the Vina maps of this ligand's heavy types.
+        const CacheOutcome outcome =
+            maps->require(dock::ScoringFunction::kVina,
+                          dock::vina_map_types(lig->molecule), autogrid_options(ctx));
         dock::VinaEngine engine(cfg);
         engine.steps_per_chain = o.vina_steps_per_chain;
         Rng rng(cfg.seed);
-        dock::DockingResult result = engine.dock(*rec, *lig, cfg.box, rng);
+        dock::DockingResult result =
+            engine.dock_with_maps(maps->maps(), *rec, *lig, cfg.box, rng);
 
         const std::string out_path =
             pair_dir(o, kAutodockVina, in) +
@@ -606,6 +627,7 @@ wf::Pipeline build_scidock_pipeline(const ScidockOptions& opts,
                                     std::bit_cast<std::uint64_t>(rmsd));
         ctx.emit_value("FEB", feb, "kcal/mol");
         ctx.emit_value("RMSD", rmsd, "A");
+        count_cache_outcome(ctx, outcome);
         Tuple out = in;
         out.set("dlg_file", out_path);
         out.set("feb", strformat("%.4f", feb));

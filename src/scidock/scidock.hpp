@@ -64,39 +64,45 @@ struct ScidockOptions {
   std::string expdir = "/root/exp_SciDock";
 };
 
-/// How a GridMaps::require call was satisfied. An AutoDock 4 activation
-/// reports exactly one outcome, so summed over a run:
-///   hits + misses + inflight_waits == finished autodock4 activations.
+/// How a GridMaps::require call was satisfied. An AutoDock 4 or Vina
+/// activation reports exactly one outcome, so summed over a run:
+///   hits + misses + inflight_waits
+///       == finished autodock4 + autodockvina activations.
 enum class CacheOutcome {
   kHit,           ///< every channel asked for was already built
   kMiss,          ///< this caller built at least one channel
   kInflightWait,  ///< built nothing, but waited on another caller's sweep
 };
 
-/// One receptor/box's AutoGrid map set, built on first use, channel by
-/// channel (DESIGN.md §10). The AutoGrid activation only resolves the
-/// handle; each AutoDock 4 activation require()s the channels its ligand
-/// reads. Receptors routed to Vina therefore never build maps, and a set
-/// holds only the types its docked ligands use. Thread-safe.
+/// One receptor/box's grid-map set, built on first use, channel by
+/// channel (DESIGN.md §10). A channel is keyed by (scoring function,
+/// ligand type). The AutoGrid activation only resolves the handle; each
+/// docking activation require()s the channels its engine reads for its
+/// ligand. A receptor routed to one engine therefore builds only that
+/// engine's family, and a set holds only the types its docked ligands
+/// use. Thread-safe.
 class GridMaps {
  public:
   GridMaps(std::shared_ptr<const mol::PreparedReceptor> receptor,
            const dock::GridBox& box, const std::vector<mol::AdType>& types);
 
-  /// Make sure the electrostatic and desolvation maps and the affinity
-  /// maps of `types` are built. The missing ones are computed in one fused
-  /// sweep with `options`; e and d come in the set's first sweep only.
-  /// Single-flight per channel: a channel another caller is building is
-  /// waited on, not rebuilt. If the sweep throws, its channels go back to
-  /// unbuilt (a retry rebuilds them) and every caller waiting on them sees
-  /// the exception. A type without a slot in the set is an error.
-  CacheOutcome require(const std::vector<mol::AdType>& types,
+  /// Make sure the channels `function` reads for `types` are built: for
+  /// kAd4 the electrostatic and desolvation maps and the affinity maps of
+  /// `types`, for kVina the Vina maps of `types`. The missing ones are
+  /// computed in one fused sweep with `options`; e and d come in the
+  /// set's first AD4 sweep only. Single-flight per channel: a channel
+  /// another caller is building is waited on, not rebuilt. If the sweep
+  /// throws, its channels go back to unbuilt (a retry rebuilds them) and
+  /// every caller waiting on them sees the exception. A type without a
+  /// slot in the set is an error.
+  CacheOutcome require(dock::ScoringFunction function,
+                       const std::vector<mol::AdType>& types,
                        const dock::AutogridOptions& options = {});
-  /// require() every type of the set (the real AutoGrid's output).
+  /// require() every AD4 channel of the set (the real AutoGrid's output).
   CacheOutcome require_all(const dock::AutogridOptions& options = {});
 
-  /// The map set: box, one affinity slot per type, e and d. Only channels
-  /// a completed require() covered hold values; read no other.
+  /// The map set: box, one slot per type in each family, e and d. Only
+  /// channels a completed require() covered hold values; read no other.
   const dock::GridMapSet& maps() const { return set_; }
 
   /// Channels built so far (e and d count one each).
@@ -121,8 +127,9 @@ class GridMaps {
   /// the same map.
   dock::GridMapSet set_;
   Mutex mutex_{"scidock.gridmaps"};
-  /// Channel 0 is e and d, channel 1 + s the affinity slot s: the sweep
-  /// that builds (or built) it, nullptr while unbuilt.
+  /// Channel 0 is e and d, channel 1 + s the affinity slot s and channel
+  /// 1 + n + s the Vina slot s (n types): the sweep that builds (or
+  /// built) it, nullptr while unbuilt.
   std::vector<std::shared_ptr<Flight>> flights_ SCIDOCK_GUARDED_BY(mutex_);
 };
 

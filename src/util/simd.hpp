@@ -376,6 +376,39 @@ inline f64x gather(const double* base, const std::int32_t* idx) {
   return f64x::load(tmp);
 }
 
+/// Per-lane loads of two adjacent floats, widened to double: lane i of
+/// `first` is base[idx[i]] and lane i of `second` is base[idx[i] + 1].
+/// Widening is exact, so this equals the per-element scalar loads; the x86
+/// backends load each pair in one 64-bit move and widen two or four lanes
+/// per instruction (single-precision grid maps, grid.hpp).
+inline void gather_float_pairs(const float* base, const std::size_t* idx,
+                               f64x& first, f64x& second) {
+#if defined(SCIDOCK_SIMD_AVX2_BACKEND) || defined(SCIDOCK_SIMD_SSE2_BACKEND)
+  const auto pair = [base](std::size_t i) {
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(base + i));
+  };
+#if defined(SCIDOCK_SIMD_AVX2_BACKEND)
+  const __m128 p01 = _mm_castsi128_ps(_mm_unpacklo_epi64(pair(idx[0]), pair(idx[1])));
+  const __m128 p23 = _mm_castsi128_ps(_mm_unpacklo_epi64(pair(idx[2]), pair(idx[3])));
+  first = f64x(_mm256_cvtps_pd(_mm_shuffle_ps(p01, p23, _MM_SHUFFLE(2, 0, 2, 0))));
+  second = f64x(_mm256_cvtps_pd(_mm_shuffle_ps(p01, p23, _MM_SHUFFLE(3, 1, 3, 1))));
+#else
+  const __m128d p0 = _mm_cvtps_pd(_mm_castsi128_ps(pair(idx[0])));
+  const __m128d p1 = _mm_cvtps_pd(_mm_castsi128_ps(pair(idx[1])));
+  first = f64x(_mm_unpacklo_pd(p0, p1));
+  second = f64x(_mm_unpackhi_pd(p0, p1));
+#endif
+#else
+  alignas(64) double a[f64x::kWidth], b[f64x::kWidth];
+  for (int i = 0; i < f64x::kWidth; ++i) {
+    a[i] = base[idx[i]];
+    b[i] = base[idx[i] + 1];
+  }
+  first = f64x::load(a);
+  second = f64x::load(b);
+#endif
+}
+
 /// Truncate each lane toward zero into int32 slots (LUT bin indices; the
 /// kernels guarantee non-negative in-range inputs).
 inline void truncate_to_int(f64x x, std::int32_t* out) {

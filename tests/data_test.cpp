@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "data/generator.hpp"
@@ -179,6 +180,26 @@ TEST(Generator, EngineRoutingMatchesThreshold) {
         residues > vina_size_threshold(opts) ? "vina" : "ad4";
     EXPECT_EQ(t.require("engine"), expected) << t.require("receptor");
   }
+}
+
+// Gasteiger's electronegativity polynomials are fitted over ionic charges
+// in [-1, +1]. Some generated receptors hold clusters of near-coincident
+// atoms whose perceived bond graph gives single atoms dozens of bonds;
+// the charges must still stay physical, on every Table 2 receptor (the
+// Hg ones prepared without the Hg rejection).
+TEST(Generator, ReceptorChargesStayWithinOneElementaryCharge) {
+  mol::ReceptorPrepareOptions popts;
+  popts.reject_unparameterised_atoms = false;
+  double max_abs = 0.0;
+  for (const std::string& code : data::table2_receptors()) {
+    const mol::PreparedReceptor rec = mol::prepare_receptor(
+        mol::read_pdb(mol::write_pdb(data::make_receptor(code)), code), popts);
+    for (const mol::Atom& a : rec.molecule.atoms()) {
+      max_abs = std::max(max_abs, std::abs(a.partial_charge));
+      ASSERT_LE(std::abs(a.partial_charge), 1.0) << code << " atom " << a.name;
+    }
+  }
+  EXPECT_GT(max_abs, 0.1);
 }
 
 }  // namespace

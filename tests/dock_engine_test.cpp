@@ -242,6 +242,25 @@ TEST(VinaEngine, ThreadedAndSerialAgree) {
   }
 }
 
+// The search samples Vina maps; the reported modes are rescored directly,
+// so each reported affinity is the exact Vina function of its pose.
+TEST(VinaEngine, ReportedFebIsDirectScoreOfReportedPose) {
+  const Fixture fx = make_fixture();
+  VinaConfig cfg;
+  cfg.exhaustiveness = 3;
+  VinaEngine engine(cfg);
+  engine.steps_per_chain = 10;
+  Rng rng(12);
+  const DockingResult result = engine.dock(fx.receptor, fx.ligand, fx.box, rng);
+  ASSERT_FALSE(result.empty());
+  const VinaEnergyModel direct(fx.receptor, fx.ligand, fx.box);
+  for (const Conformation& c : result.conformations) {
+    const double inter = direct.intermolecular(c.coords);
+    EXPECT_EQ(c.intermolecular, inter) << "run " << c.run;
+    EXPECT_EQ(c.feb, direct.feb(inter)) << "run " << c.run;
+  }
+}
+
 TEST(VinaEngine, FindsBetterPosesWithMoreEffort) {
   const Fixture fx = make_fixture();
   VinaConfig lo_cfg;

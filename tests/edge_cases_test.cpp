@@ -150,7 +150,7 @@ TEST(GridEdge, SamplingIsContinuousAcrossCellBoundaries) {
   box.spacing = 1.0;
   dock::GridMap map(box, "C");
   Rng rng(13);
-  for (double& v : map.values()) v = rng.uniform(-5.0, 5.0);
+  for (float& v : map.values()) v = static_cast<float>(rng.uniform(-5.0, 5.0));
   // Approach a grid plane from both sides: trilinear interpolation must
   // agree at the boundary.
   const mol::Vec3 on_plane{0.0, 0.3, -0.7};

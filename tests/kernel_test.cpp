@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -34,12 +35,14 @@
 
 #include "data/generator.hpp"
 #include "data/table2.hpp"
+#include "dock/autodock4.hpp"
 #include "dock/autogrid.hpp"
 #include "dock/conformation.hpp"
 #include "dock/energy.hpp"
 #include "dock/energy_lut.hpp"
 #include "dock/grid.hpp"
 #include "dock/scoring.hpp"
+#include "dock/vina.hpp"
 #include "mol/prepare.hpp"
 #include "obs/obs.hpp"
 #include "scidock/experiment.hpp"
@@ -61,6 +64,13 @@ bool within_tolerance(double lut, double analytic) {
   const double err = std::abs(lut - analytic);
   return err <= 2e-3 || err <= 5e-3 * std::abs(analytic);
 }
+
+// Grid-sampled Vina intermolecular energy against direct scoring at the
+// same pose: an absolute floor plus 5% of the direct value (the steep
+// overlap repulsion is where trilinear interpolation between nodes errs
+// most). Reported energies never carry this error: each chain's best pose
+// is rescored directly.
+constexpr double kVinaGridTolerance = 0.5;
 
 TEST(EnergyLut, Ad4PairEnergyMatchesAnalytic) {
   const Ad4Weights w;
@@ -157,7 +167,7 @@ TEST(TrilinearSampler, BitIdenticalToPerMapSample) {
   Rng rng(11);
   GridMap a(box, "A"), b(box, "e"), c(box, "d");
   for (auto* m : {&a, &b, &c}) {
-    for (double& v : m->values()) v = rng.uniform(-10.0, 10.0);
+    for (float& v : m->values()) v = static_cast<float>(rng.uniform(-10.0, 10.0));
   }
   for (int i = 0; i < 500; ++i) {
     const mol::Vec3 p{rng.uniform(-3.0, 5.0), rng.uniform(-6.0, 2.0),
@@ -280,7 +290,7 @@ TEST(SimdKernels, TrilinearSamplerLanesMatchesScalarSampler) {
   Rng rng(37);
   GridMap a(box, "A"), b(box, "e");
   for (auto* m : {&a, &b}) {
-    for (double& v : m->values()) v = rng.uniform(-10.0, 10.0);
+    for (float& v : m->values()) v = static_cast<float>(rng.uniform(-10.0, 10.0));
   }
   for (int rep = 0; rep < 200; ++rep) {
     double xs[kLanes], ys[kLanes], zs[kLanes];
@@ -384,7 +394,7 @@ TEST(LazyAutogrid, ChannelSubsetSweepsAreBitEqualToAllTypes) {
 
   // A subset without e/d computes exactly the asked-for slots.
   GridMapSet subset = GridMapSet::shaped(box, types);
-  calc.calculate_into(subset, /*electrostatic_and_desolvation=*/false, {1, 3});
+  calc.calculate_into(subset, /*electrostatic_and_desolvation=*/false, {1, 3}, {});
   EXPECT_TRUE(subset.electrostatic.values().empty());
   EXPECT_EQ(subset.affinity_for(AdType::C), nullptr);
   EXPECT_EQ(subset.affinity_for(AdType::HD), nullptr);
@@ -394,15 +404,50 @@ TEST(LazyAutogrid, ChannelSubsetSweepsAreBitEqualToAllTypes) {
   // e/d plus one type, then an extension sweep for the rest (one of them
   // on a pool): the union is the all-types sweep, bit for bit.
   GridMapSet lazy = GridMapSet::shaped(box, types);
-  calc.calculate_into(lazy, true, {2});
+  calc.calculate_into(lazy, true, {2}, {});
   ThreadPool pool(3);
-  calc.calculate_into(lazy, false, {0, 1, 3, 4}, &pool);
+  calc.calculate_into(lazy, false, {0, 1, 3, 4}, {}, &pool);
   expect_same_channel(lazy.electrostatic, full.electrostatic, "e");
   expect_same_channel(lazy.desolvation, full.desolvation, "d");
   for (std::size_t t = 0; t < types.size(); ++t) {
     expect_same_channel(lazy.affinity[t].second, full.affinity[t].second,
                         std::string(mol::ad_type_name(types[t])));
   }
+}
+
+// Vina channels ride the same sweep: a subset of the Vina family, alone
+// or fused with AD4 channels, is bit-equal to the all-types Vina sweep.
+TEST(LazyAutogrid, VinaChannelSubsetsAreBitEqualToAllTypes) {
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1KER", tiny()));
+  const GridMapCalculator calc(rec.molecule);
+  const GridBox box = GridBox::around(rec.molecule.center(), 7.0, 0.6);
+  const std::vector<AdType> types = {AdType::C, AdType::OA, AdType::A,
+                                     AdType::N, AdType::SA};
+  GridMapSet full = GridMapSet::shaped(box, types);
+  calc.calculate_into(full, false, {}, {0, 1, 2, 3, 4});
+  EXPECT_TRUE(full.electrostatic.values().empty());
+  EXPECT_EQ(full.affinity_for(AdType::C), nullptr);
+
+  GridMapSet subset = GridMapSet::shaped(box, types);
+  calc.calculate_into(subset, false, {}, {1, 3});
+  EXPECT_EQ(subset.map_for(ScoringFunction::kVina, AdType::C), nullptr);
+  expect_same_channel(subset.vina[1].second, full.vina[1].second, "vina OA");
+  expect_same_channel(subset.vina[3].second, full.vina[3].second, "vina N");
+
+  // Fused with e/d and an AD4 channel, then extended on a pool: every
+  // Vina channel still equals the Vina-only sweep, bit for bit.
+  const GridMapSet ad4 = calc.calculate(box, types);
+  GridMapSet mixed = GridMapSet::shaped(box, types);
+  calc.calculate_into(mixed, true, {2}, {0, 4});
+  ThreadPool pool(3);
+  calc.calculate_into(mixed, false, {}, {1, 2, 3}, &pool);
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    expect_same_channel(mixed.vina[t].second, full.vina[t].second,
+                        "vina " + std::string(mol::ad_type_name(types[t])));
+  }
+  expect_same_channel(mixed.affinity[2].second, ad4.affinity[2].second, "A");
+  expect_same_channel(mixed.electrostatic, ad4.electrostatic, "e");
 }
 
 // ---------------------------------------------------- dense neighbour list
@@ -617,6 +662,101 @@ TEST(BatchedScoring, VinaEvaluateBatchMatchesPoseAtATime) {
   }
 }
 
+/// A Vina grid model over a tiny receptor, on the maps VinaEngine::dock
+/// builds.
+struct VinaGridFixture {
+  mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", tiny()));
+  mol::PreparedLigand lig = mol::prepare_ligand(data::make_ligand("074", tiny()));
+  GridBox search = GridBox::around(rec.molecule.center(), 9.0, 0.375);
+  GridMapSet maps = compute_vina_maps(rec.molecule, lig.molecule, search);
+};
+
+TEST(BatchedScoring, VinaGridEvaluateBatchMatchesPoseAtATime) {
+  const VinaGridFixture fx;
+  const VinaEnergyModel model(fx.maps, fx.lig, fx.search);
+  Rng rng(53);
+  for (int n : {1, 7, simd::f64x::kWidth + 1}) {
+    // make_poses moves the last pose 300 Å out: its lanes take the
+    // harmonic pull-back next to in-box lanes of the same block.
+    const auto poses =
+        make_poses(fx.search, model, fx.lig.torsions.torsion_count(), n, rng);
+    const auto batched = model.evaluate_batch(poses);
+    ASSERT_EQ(batched.size(), poses.size());
+    std::vector<double> inter, intra;
+    model.score_batch(poses, &inter, &intra);
+    for (std::size_t p = 0; p < poses.size(); ++p) {
+      const auto coords = model.coords_for(poses[p]);
+      const double scalar_inter = model.intermolecular(coords);
+      EXPECT_TRUE(within_tolerance(inter[p], scalar_inter))
+          << "pose " << p << " of " << n << ": batched=" << inter[p]
+          << " scalar=" << scalar_inter;
+      EXPECT_TRUE(within_tolerance(intra[p], model.intramolecular(coords)))
+          << "pose " << p;
+      EXPECT_TRUE(within_tolerance(batched[p], model(poses[p])))
+          << "pose " << p << " of " << n;
+    }
+    EXPECT_GT(inter.back(), 1e5) << "the far pose must be pulled back";
+  }
+}
+
+// The grid form samples what the direct form sums: at fixed poses the two
+// intermolecular energies agree within the interpolation error of the
+// map spacing. Out-of-box atoms take the identical pull-back.
+TEST(VinaGrid, SampledEnergyTracksDirectScoring) {
+  const VinaGridFixture fx;
+  const VinaEnergyModel grid(fx.maps, fx.lig, fx.search);
+  const VinaEnergyModel direct(fx.rec, fx.lig, fx.search);
+  // Poses a search would visit: the best of several local searches from
+  // random starts, scored by the direct model (so the grid is not judged
+  // on poses it chose).
+  Rng rng(59);
+  int compared = 0;
+  for (int i = 0; i < 12; ++i) {
+    DockPose pose = DockPose::random(fx.search, direct.reference_center(),
+                                     fx.lig.torsions.torsion_count(), rng);
+    double e = 0.0;
+    pose = solis_wets(pose, direct, rng, 60, e, 0.5);
+    const auto coords = direct.coords_for(pose);
+    const double d = direct.intermolecular(coords);
+    const double g = grid.intermolecular(coords);
+    EXPECT_LE(std::abs(g - d), kVinaGridTolerance + 0.05 * std::abs(d))
+        << "pose " << i << ": grid=" << g << " direct=" << d;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 12);
+  // A pose far outside: both forms are the same harmonic sum.
+  DockPose far;
+  far.torsions.assign(
+      static_cast<std::size_t>(fx.lig.torsions.torsion_count()), 0.0);
+  far.rigid.translation = mol::Vec3{40.0, 0.0, 0.0};
+  const auto coords = direct.coords_for(far);
+  EXPECT_EQ(grid.intermolecular(coords), direct.intermolecular(coords));
+}
+
+TEST(VinaGrid, MapsMustCoverTheSearchBoxWithTheMargin) {
+  const VinaGridFixture fx;
+  // The map box of the fixture leaves one spacing per side.
+  EXPECT_TRUE(vina_grid_covers(fx.maps.box, fx.search));
+  GridBox wide = fx.search;
+  wide.npts = fx.maps.box.npts;  // the map box itself: no margin
+  EXPECT_FALSE(vina_grid_covers(fx.maps.box, wide));
+  EXPECT_THROW(VinaEnergyModel(fx.maps, fx.lig, wide), Error);
+  // The conf-file box derived from a screening GPF box keeps the margin.
+  for (double half : {12.0, 16.0, 20.0, 24.0}) {
+    const GridBox gpf = GridBox::around({1.0, 2.0, 3.0}, half, 0.55);
+    const GridBox conf = vina_search_box(gpf);
+    EXPECT_TRUE(vina_grid_covers(gpf, conf)) << half;
+    EXPECT_DOUBLE_EQ(conf.spacing, GridBox{}.spacing);
+    for (int a = 0; a < 3; ++a) {
+      // Largest such box: one more conf step would break the margin.
+      GridBox bigger = conf;
+      bigger.npts[a] += 2;
+      EXPECT_FALSE(vina_grid_covers(gpf, bigger)) << half << " axis " << a;
+    }
+  }
+}
+
 TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
   const auto opts = tiny();
   const mol::PreparedReceptor rec =
@@ -634,6 +774,100 @@ TEST(BatchedScoring, EvaluationCountingMatchesScalarDiscipline) {
   std::vector<double> inter, intra;
   model.score_batch(poses, &inter, &intra);  // reporting path: no counts
   EXPECT_EQ(model.evaluations(), 5);
+}
+
+// --------------------------------------------- single-precision maps
+
+/// AD4 intermolecular energy of `coords` from map nodes summed and kept in
+/// double: the AutoGrid node sum written out per corner, interpolated with
+/// TrilinearSampler's weights and association.
+double double_precision_ad4_inter(const mol::Molecule& receptor,
+                                  const mol::PreparedLigand& lig,
+                                  const GridBox& box,
+                                  const std::vector<mol::Vec3>& coords) {
+  const auto tables = Ad4PairTables::shared(Ad4Weights{});
+  const mol::Vec3 o = box.origin();
+  double e = 0.0;
+  for (int i = 0; i < lig.molecule.atom_count(); ++i) {
+    const mol::Atom& atom = lig.molecule.atom(i);
+    const mol::Vec3& p = coords[static_cast<std::size_t>(i)];
+    const double fx = (p.x - o.x) / box.spacing;
+    const double fy = (p.y - o.y) / box.spacing;
+    const double fz = (p.z - o.z) / box.spacing;
+    const double solv = mol::ad_type_params(atom.ad_type).solpar +
+                        0.01097 * std::abs(atom.partial_charge);
+    if (fx < 0 || fy < 0 || fz < 0 || fx > box.npts[0] - 1 ||
+        fy > box.npts[1] - 1 || fz > box.npts[2] - 1) {
+      e += GridMap::kOutOfBoxPenalty * (1.0 + atom.partial_charge + solv);
+      continue;
+    }
+    const int ix = std::min(static_cast<int>(fx), box.npts[0] - 2);
+    const int iy = std::min(static_cast<int>(fy), box.npts[1] - 2);
+    const int iz = std::min(static_cast<int>(fz), box.npts[2] - 2);
+    // node[c][k]: channel c (affinity, e, d) at corner k = dx + 2dy + 4dz.
+    double node[3][8] = {};
+    for (int k = 0; k < 8; ++k) {
+      const mol::Vec3 q{o.x + (ix + (k & 1)) * box.spacing,
+                        o.y + (iy + ((k >> 1) & 1)) * box.spacing,
+                        o.z + (iz + ((k >> 2) & 1)) * box.spacing};
+      for (const mol::Atom& r : receptor.atoms()) {
+        const double d2 = mol::distance_sq(q, r.pos);
+        if (d2 > lut::kCutoffSq) continue;
+        node[0][k] += lut::interpolate(tables->vdw_row(atom.ad_type, r.ad_type), d2);
+        node[1][k] += r.partial_charge * tables->coulomb_factor(d2);
+        node[2][k] += mol::ad_type_params(r.ad_type).volume * tables->desolv_gauss(d2);
+      }
+    }
+    const double tx = fx - ix, ty = fy - iy, tz = fz - iz;
+    const auto lerp = [](double a, double b, double t) { return a + (b - a) * t; };
+    double v[3];
+    for (int c = 0; c < 3; ++c) {
+      const double* n = node[c];
+      v[c] = lerp(lerp(lerp(n[0], n[1], tx), lerp(n[2], n[3], tx), ty),
+                  lerp(lerp(n[4], n[5], tx), lerp(n[6], n[7], tx), ty), tz);
+    }
+    e += v[0];
+    e += atom.partial_charge * v[1];
+    e += solv * v[2];
+  }
+  return e;
+}
+
+// Maps are stored in single precision, as AutoDock 4 keeps them: at
+// docked poses the AD4 intermolecular energy stays within 1e-3 kcal/mol
+// of the same maps kept in double.
+TEST(SinglePrecisionMaps, Ad4EnergyWithinOneMilliKcalOfDouble) {
+  const auto opts = tiny();
+  const mol::PreparedReceptor rec =
+      mol::prepare_receptor(data::make_receptor("1AIM", opts));
+  int compared = 0;
+  for (const char* code : {"042", "074", "0E6"}) {
+    const mol::PreparedLigand lig =
+        mol::prepare_ligand(data::make_ligand(code, opts));
+    const GridBox box = GridBox::around(rec.molecule.center(), 9.0, 0.55);
+    mol::Molecule typed = lig.molecule;
+    typed.perceive();
+    const GridMapSet maps =
+        GridMapCalculator(rec.molecule).calculate(box, typed.ad_types_present());
+    const Ad4EnergyModel model(maps, lig);
+    DockingParameterFile dpf;
+    dpf.ga_runs = 3;
+    dpf.ga_pop_size = 16;
+    dpf.ga_num_evals = 1500;
+    dpf.ga_num_generations = 30;
+    dpf.sw_max_its = 30;
+    Rng rng(61);
+    const DockingResult result =
+        Autodock4Engine(dpf).dock_with_maps(maps, lig, rng);
+    for (const Conformation& conf : result.conformations) {
+      const double want =
+          double_precision_ad4_inter(rec.molecule, lig, box, conf.coords);
+      EXPECT_NEAR(model.intermolecular(conf.coords), want, 1e-3)
+          << code << " run " << conf.run;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 3);
 }
 
 // ----------------------------------------------------- screening GPF
@@ -669,6 +903,9 @@ TEST(ScreeningGpf, CanonicalAcrossLigands) {
 namespace scidock::core {
 namespace {
 
+constexpr auto kAd4 = dock::ScoringFunction::kAd4;
+constexpr auto kVina = dock::ScoringFunction::kVina;
+
 /// A small prepared receptor and a coarse box around it: a map-set
 /// handle over it builds in milliseconds.
 struct HandleFixture {
@@ -694,7 +931,7 @@ TEST(SingleFlightCache, ComputesOncePerKeyUnderContention) {
     threads.emplace_back([&, i] {
       auto maps = cache.resolve_maps("k", fx.receptor, fx.box, fx.types);
       const CacheOutcome outcome =
-          maps->require({mol::AdType::C, mol::AdType::OA}, opts);
+          maps->require(kAd4, {mol::AdType::C, mol::AdType::OA}, opts);
       results[static_cast<std::size_t>(i)] = maps;
       switch (outcome) {
         case CacheOutcome::kHit: hits.fetch_add(1); break;
@@ -721,16 +958,16 @@ TEST(SingleFlightCache, DistinctKeysComputeIndependently) {
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.resolve_maps("a", fx.receptor, fx.box, fx.types).get(),
             a.get());
-  EXPECT_EQ(a->require({mol::AdType::C}), CacheOutcome::kMiss);
-  EXPECT_EQ(b->require({mol::AdType::C}), CacheOutcome::kMiss);
-  EXPECT_EQ(a->require({mol::AdType::C}), CacheOutcome::kHit);
+  EXPECT_EQ(a->require(kAd4, {mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(b->require(kAd4, {mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(a->require(kAd4, {mol::AdType::C}), CacheOutcome::kHit);
   // Extending a set builds only the new channel, not e and d again.
-  EXPECT_EQ(a->require({mol::AdType::C, mol::AdType::N}), CacheOutcome::kMiss);
+  EXPECT_EQ(a->require(kAd4, {mol::AdType::C, mol::AdType::N}), CacheOutcome::kMiss);
   EXPECT_EQ(a->channels_built(), 4);
   EXPECT_EQ(b->channels_built(), 3);
   EXPECT_EQ(cache.grid_channels_built(), 7);
   // A type outside the GPF's set is an error, not a silent empty map.
-  EXPECT_THROW(a->require({mol::AdType::S}), Error);
+  EXPECT_THROW(a->require(kAd4, {mol::AdType::S}), Error);
 }
 
 TEST(SingleFlightCache, ExceptionErasesFlightSoRetryRecomputes) {
@@ -741,12 +978,41 @@ TEST(SingleFlightCache, ExceptionErasesFlightSoRetryRecomputes) {
   faulty.slab_observer = [](int, double) {
     throw std::runtime_error("vfs fault");
   };
-  EXPECT_THROW(maps->require({mol::AdType::C}, faulty), std::runtime_error);
+  EXPECT_THROW(maps->require(kAd4, {mol::AdType::C}, faulty), std::runtime_error);
   // The failed sweep's channels are free again: a retry builds them.
   EXPECT_EQ(maps->channels_built(), 0);
-  EXPECT_EQ(maps->require({mol::AdType::C}), CacheOutcome::kMiss);
+  EXPECT_EQ(maps->require(kAd4, {mol::AdType::C}), CacheOutcome::kMiss);
   EXPECT_EQ(maps->channels_built(), 3);
   EXPECT_NE(maps->maps().affinity_for(mol::AdType::C), nullptr);
+}
+
+TEST(SingleFlightCache, VinaRequireThatThrowsFreesItsChannels) {
+  const HandleFixture fx;
+  ArtifactCache cache;
+  const auto maps = cache.resolve_maps("k", fx.receptor, fx.box, fx.types);
+  dock::AutogridOptions faulty;
+  faulty.slab_observer = [](int, double) {
+    throw std::runtime_error("vfs fault");
+  };
+  const std::vector<mol::AdType> heavy = {mol::AdType::C, mol::AdType::N};
+  EXPECT_THROW(maps->require(kVina, heavy, faulty),
+               std::runtime_error);
+  EXPECT_EQ(maps->channels_built(), 0);
+  EXPECT_EQ(maps->maps().map_for(kVina, mol::AdType::C),
+            nullptr);
+  // The retry rebuilds exactly the two Vina channels, and no e/d.
+  EXPECT_EQ(maps->require(kVina, heavy),
+            CacheOutcome::kMiss);
+  EXPECT_EQ(maps->channels_built(), 2);
+  EXPECT_NE(maps->maps().map_for(kVina, mol::AdType::N),
+            nullptr);
+  EXPECT_TRUE(maps->maps().electrostatic.values().empty());
+  EXPECT_EQ(maps->require(kVina, {mol::AdType::C}),
+            CacheOutcome::kHit);
+  // The AD4 family is separate: its first require still misses.
+  EXPECT_EQ(maps->require(kAd4, {mol::AdType::C}),
+            CacheOutcome::kMiss);
+  EXPECT_EQ(maps->channels_built(), 5);
 }
 
 TEST(SingleFlightCache, AliasSharesTheSameSet) {
@@ -761,7 +1027,7 @@ TEST(SingleFlightCache, AliasSharesTheSameSet) {
   EXPECT_EQ(cache.maps("unknown"), nullptr);
   // Resolving builds nothing; aliases do not count a set twice.
   EXPECT_EQ(cache.grid_channels_built(), 0);
-  maps->require({mol::AdType::OA});
+  maps->require(kAd4, {mol::AdType::OA});
   EXPECT_EQ(cache.grid_channels_built(), 3);
 }
 
@@ -881,9 +1147,10 @@ TEST(GridMapReuse, LazyFebRmsdEqualEagerAcrossCacheAndThreads) {
   }
 }
 
-// In the paper's adaptive mode, receptors routed to Vina never build a
-// map: their AutoGrid activations resolve a handle and compute nothing.
-TEST(GridMapReuse, VinaOnlyReceptorsBuildZeroChannels) {
+// In the paper's adaptive mode each receptor builds only its engine's
+// channel family: AD4 receptors e, d and affinity maps, Vina receptors
+// Vina maps only.
+TEST(GridMapReuse, EachReceptorBuildsOnlyItsEnginesChannelFamily) {
   ScidockOptions opts;
   opts.dataset = dock::tiny();
   opts.engine_mode = EngineMode::Adaptive;
@@ -912,25 +1179,75 @@ TEST(GridMapReuse, VinaOnlyReceptorsBuildZeroChannels) {
       run_native(exp, 2, "auto-lazy", obs::Observability{nullptr, &metrics});
   ASSERT_EQ(report.output.size(), exp.pairs.size());
 
-  int vina_channels = 0;
+  const auto built = [](const dock::GridMapSet& set, dock::ScoringFunction f) {
+    int n = 0;
+    for (const auto& [type, map] : set.family(f)) n += map.values().empty() ? 0 : 1;
+    return n;
+  };
   for (const wf::Tuple& t : exp.pairs.tuples()) {
     const auto maps = exp.cache->maps(exp.options.expdir + "/autogrid/" +
                                       t.require("pair") + "/receptor");
     ASSERT_NE(maps, nullptr) << t.require("pair");
+    const dock::GridMapSet& set = maps->maps();
     if (vina_receptors.count(t.require("receptor")) != 0) {
-      vina_channels += maps->channels_built();
+      EXPECT_GE(built(set, kVina), 1) << t.require("pair");
+      EXPECT_EQ(built(set, kAd4), 0) << t.require("pair");
+      EXPECT_TRUE(set.electrostatic.values().empty()) << t.require("pair");
+      EXPECT_EQ(maps->channels_built(), built(set, kVina));
     } else {
       EXPECT_GE(maps->channels_built(), 3) << t.require("pair");
+      EXPECT_EQ(built(set, kVina), 0) << t.require("pair");
     }
   }
-  EXPECT_EQ(vina_channels, 0);
-  // Every channel built belongs to an AD4 receptor, and was built once.
+  // Every channel was built once, and every docking activation reported
+  // one cache outcome.
   EXPECT_EQ(metrics.counter_value(obs::kKernelAutogridChannels),
             exp.cache->grid_channels_built());
   EXPECT_EQ(metrics.counter_value(obs::kCacheGridmapsHits) +
                 metrics.counter_value(obs::kCacheGridmapsMisses) +
                 metrics.counter_value(obs::kCacheGridmapsInflightWaits),
-            2 * static_cast<long long>(ad4_receptors.size()));
+            static_cast<long long>(exp.pairs.size()));
+}
+
+// Vina searches on shared lazily built maps: the Table 3 columns do not
+// depend on whether pairs share a set or on the thread count, in the
+// paper's adaptive mode and with Vina forced.
+TEST(GridMapReuse, FebRmsdIdenticalAcrossCacheAndThreadsInAutoAndVinaModes) {
+  for (EngineMode mode : {EngineMode::Adaptive, EngineMode::ForceVina}) {
+    ScidockOptions opts;
+    opts.dataset = dock::tiny();
+    opts.engine_mode = mode;
+    opts.vina_exhaustiveness = 2;
+    opts.vina_steps_per_chain = 10;
+    // Two Vina-routed receptors and one AD4 one, by the size routing.
+    std::vector<std::string> receptors;
+    int vina = 0, ad4 = 0;
+    const int threshold = data::vina_size_threshold(opts.dataset);
+    for (const std::string& code : data::table2_receptors()) {
+      const bool to_vina =
+          data::receptor_residue_count(code, opts.dataset) > threshold;
+      if (to_vina ? vina < 2 : ad4 < 1) {
+        receptors.push_back(code);
+        ++(to_vina ? vina : ad4);
+      }
+    }
+    std::optional<RunArtifacts> base;
+    for (bool reuse : {false, true}) {
+      for (int threads : {1, 4}) {
+        opts.reuse_grid_maps = reuse;
+        auto exp = make_experiment(receptors, {"042", "074", "0E6"}, 0, opts);
+        const RunArtifacts got = collect(exp, run_native(exp, threads, "vina"));
+        ASSERT_EQ(got.feb_rmsd.size(), 9u);
+        if (!base) {
+          base = got;
+          continue;
+        }
+        EXPECT_EQ(got.feb_rmsd, base->feb_rmsd)
+            << "mode " << static_cast<int>(mode) << ", reuse " << reuse
+            << ", " << threads << " threads";
+      }
+    }
+  }
 }
 
 }  // namespace

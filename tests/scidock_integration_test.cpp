@@ -83,6 +83,20 @@ TEST(ScidockIntegration, AdaptiveModeOutputsEveryPair) {
   EXPECT_EQ(report.output.field_names(), declared);
 }
 
+// 1NL6 holds clusters of near-coincident atoms; its prepared charges once
+// reached 195 e and AD4 then reported FEBs of -10,783 kcal/mol. With the
+// default dataset and search, its AD4 FEBs stay physical.
+TEST(ScidockIntegration, Ad4FebOnClusteredReceptorStaysPhysical) {
+  core::ScidockOptions opts;
+  opts.engine_mode = core::EngineMode::ForceAd4;
+  auto exp = core::make_experiment({"1NL6"}, {"0E6", "074"}, 0, opts);
+  const wf::NativeReport report = core::run_native(exp, 2, "1nl6");
+  ASSERT_EQ(report.output.size(), 2u);
+  for (const auto& t : report.output.tuples()) {
+    EXPECT_GE(parse_double(t.require("feb"), "feb"), -20.0) << t.require("pair");
+  }
+}
+
 TEST(ScidockIntegration, VinaActivityWritesOutputPoses) {
   core::ScidockOptions opts = fast_options();
   opts.engine_mode = core::EngineMode::ForceVina;

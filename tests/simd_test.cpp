@@ -217,6 +217,21 @@ TEST(SimdF64, GatherReadsPerLaneIndices) {
   }
 }
 
+TEST(SimdF64, GatherFloatPairsWidensAdjacentFloatsPerLane) {
+  // Odd offsets too: a pair need not be 8-byte aligned.
+  std::vector<float> table(64);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = static_cast<float>(i) * 0.1f - 3.0f;
+  }
+  const std::size_t idx[4] = {0, 62, 17, 5};
+  f64x first, second;
+  gather_float_pairs(table.data(), idx, first, second);
+  for (int l = 0; l < W; ++l) {
+    EXPECT_EQ(first.lane(l), static_cast<double>(table[idx[l]])) << l;
+    EXPECT_EQ(second.lane(l), static_cast<double>(table[idx[l] + 1])) << l;
+  }
+}
+
 TEST(SimdF64, TruncateToIntRoundsTowardZero) {
   double in[4] = {0.0, 2.9, 4095.999, 17.0};
   std::int32_t out[4] = {-1, -1, -1, -1};
